@@ -34,6 +34,9 @@ import time
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, HERE)
 
+#: Every workload this script runs.  BENCHMARK.json lists all but
+#: serve_generated, whose oracle fails on this revision (README.md, "Known
+#: defect").
 WORKLOADS = ("tables_maxconc", "tables_search", "serve_generated",
              "check_families")
 END_TO_END = {"setup_s": "s", "ops_per_s": "1/s", "latency_p50_s": "s",
@@ -44,16 +47,14 @@ PER_LAYER = {name: unit for unit, names in (
     ("s", ("encoding.resolve_s", "sg.properties_s", "reduction.search_s",
            "reduction.cost_s", "logic.minimize_s", "circuit.synthesize_s",
            "timing.cycle_s", "verify.verify_s", "pipeline.codec_s",
-           "pipeline.store_s", "sweep.self_s", "serve.queue_wait_p50_s",
-           "serve.queue_wait_p90_s", "serve.service_p50_s", "sg.generate_s",
+           "pipeline.store_s", "sweep.self_s", "sg.generate_s",
            "symbolic.check_s")),
     ("count", ("encoding.candidates", "encoding.candidate_states",
                "sg.properties_calls", "reduction.configs_explored",
                "reduction.candidates", "logic.minimize_calls",
                "verify.product_states", "pipeline.stages_computed",
-               "pipeline.stages_cached", "serve.dedup_hits",
-               "serve.history_hits", "serve.max_backlog", "sg.states",
-               "sg.arcs", "symbolic.bdd_nodes", "trace.spans")),
+               "pipeline.stages_cached", "sg.states", "sg.arcs",
+               "symbolic.bdd_nodes", "trace.spans")),
     ("bytes", ("pipeline.store_bytes",)),
     ("fraction", ("encoding.accept_ratio", "reduction.valid_ratio",
                   "trace.unattributed_frac", "trace.overhead_frac",
@@ -62,6 +63,11 @@ PER_LAYER = {name: unit for unit, names in (
                   "share.logic", "share.circuit", "share.timing",
                   "share.verify", "share.symbolic")),
 ) for name in names}
+#: Per-layer metrics only serve_generated reports, from the server's
+#: ``/stats`` and ``/jobs/<id>/trace``.
+SERVE_LAYER = {"serve.queue_wait_p50_s": "s", "serve.queue_wait_p90_s": "s",
+               "serve.service_p50_s": "s", "serve.dedup_hits": "count",
+               "serve.history_hits": "count", "serve.max_backlog": "count"}
 #: Units of the run figures printed beside the metrics (not in the JSON).
 INFO_UNITS = {
     "error_rate": "fraction", "rounds": "count", "points": "count",
@@ -173,7 +179,8 @@ def main(argv=None) -> int:
     info = result["info"]
     info["error_rate"] = result["failed"] / result["attempted"]
     if args.trace:
-        units = PER_LAYER
+        units = dict(PER_LAYER, **(SERVE_LAYER if args.workload
+                                   == "serve_generated" else {}))
         metrics = {name: result["layers"].get(name, 0) for name in units}
         title = "per-layer (traced)"
     else:

@@ -15,12 +15,13 @@ hits) and 15% delays-only variants of an earlier spec (store reuse up
 to the timing stage).  ``--seed`` draws the order of all requests, which
 requests repeat or vary, and the variants' delays.
 
-After the measured window the benchmark replays every distinct request
-in-process with ``run_synth_job`` and requires the server's ``result``
-bytes to match; no verdict may be ``violating``.  A traced run replays
-twice, untraced and under the layer tracer, and takes the per-layer
-figures from the traced replay; the ``serve.*`` figures come from the
-server's own ``/stats``, ``/metrics`` and ``/jobs/<id>/trace``.
+After the measured window the benchmark runs every distinct request
+again in-process, each one cold (engine caches cleared, a fresh artifact
+store) with ``run_synth_job``, and requires the server's ``result`` bytes
+to match; no verdict may be ``violating`` and no job may fail.  A traced
+run replays twice, untraced and under the layer tracer, and takes the
+per-layer figures from the traced replay; the ``serve.*`` figures come
+from the server's own ``/stats`` and ``/jobs/<id>/trace``.
 """
 
 from __future__ import annotations
@@ -123,10 +124,7 @@ class Client:
         headers = {"Content-Type": "application/json"} if body else {}
         self.connection.request(method, path, body=body, headers=headers)
         response = self.connection.getresponse()
-        data = response.read()
-        if path == "/metrics":
-            return response.status, data.decode("utf-8")
-        return response.status, json.loads(data)
+        return response.status, json.loads(response.read())
 
     def get(self, path: str):
         return self.request("GET", path)
@@ -208,6 +206,8 @@ class _Load:
         self.done: List[Optional[float]] = [None] * count
         self.job: List[Optional[str]] = [None] * count
         self.failed: List[bool] = [False] * count
+        #: Server-side job failures (pipeline errors): job id -> error.
+        self.job_errors: Dict[str, str] = {}
         self.history_hits = 0
         self.waiting: Dict[str, List[int]] = {}
         self.results: Dict[str, dict] = {}
@@ -261,11 +261,12 @@ def _finish(load: _Load, jid: str, view: dict, now: float,
             load.results[jid] = view["result"]
         else:
             load.failed[index] = True
+            load.job_errors[jid] = view.get("error") or "failed"
 
 
 def _poll(port: int, load: _Load, watch_backlog: bool) -> None:
     client = Client(port)
-    last_scrape = 0.0
+    last_stats = 0.0
     try:
         while True:
             with load.lock:
@@ -287,26 +288,16 @@ def _poll(port: int, load: _Load, watch_backlog: bool) -> None:
                                 load.waiting[jid].remove(index)
                         if not load.waiting[jid]:
                             del load.waiting[jid]
-            if watch_backlog and time.perf_counter() - last_scrape > 0.25:
-                last_scrape = time.perf_counter()
-                _, text = client.get("/metrics")
-                gauges = _gauges(text)
-                load.max_backlog = max(load.max_backlog, int(
-                    gauges.get("repro_queue_depth", 0)
-                    + gauges.get("repro_jobs_in_flight", 0)))
+            if watch_backlog and time.perf_counter() - last_stats > 0.25:
+                last_stats = time.perf_counter()
+                _, stats = client.get("/stats")
+                load.max_backlog = max(load.max_backlog,
+                                       stats["queue_depth"]
+                                       + stats["in_flight"])
             if not progressed:
                 time.sleep(POLL_PAUSE)
     finally:
         client.close()
-
-
-def _gauges(text: str) -> Dict[str, float]:
-    values = {}
-    for line in text.splitlines():
-        if line and not line.startswith("#"):
-            name, _, value = line.rpartition(" ")
-            values[name] = float(value)
-    return values
 
 
 def _histogram_quantile(series: dict, fraction: float) -> float:
@@ -460,10 +451,13 @@ class ServeGenerated:
         return result
 
     def _replay(self, load: _Load, trace: bool):
-        """The oracle: every distinct job again, in this process.
+        """The oracle: every distinct job again, each cold, in this process.
 
-        Returns ``(seconds, None)``, or with ``trace`` ``(seconds,
-        (traced seconds, tracer totals))`` of a second, traced replay.
+        Each job runs with the engine caches cleared and a fresh artifact
+        store, so its result depends on the request alone, as the server
+        documents for every finished job.  Returns ``(seconds, None)``,
+        or with ``trace`` ``(seconds, (traced seconds, tracer totals))``
+        of a second, traced replay.
         """
         from repro import engine
         from repro.pipeline.config import FlowConfig
@@ -471,6 +465,10 @@ class ServeGenerated:
         from repro.pipeline.store import ArtifactStore
         from repro.serve.protocol import job_id, parse_synth_request
 
+        if load.job_errors:
+            jid, error = sorted(load.job_errors.items())[0]
+            raise BenchError(f"{len(load.job_errors)} server jobs failed; "
+                             f"job {jid[:12]}: {error}")
         tasks = {}
         for index, jid in enumerate(load.job):
             if jid is not None and jid in load.results and jid not in tasks:
@@ -481,26 +479,30 @@ class ServeGenerated:
                 tasks[jid] = task
 
         def unit() -> Unit:
-            engine.clear_caches()
-            root = scratch_dir("replay-")
             output = {}
-            try:
-                store = ArtifactStore(root)
-                for jid, task in tasks.items():
+            for jid, task in tasks.items():
+                engine.clear_caches()
+                root = scratch_dir("replay-")
+                try:
                     output[jid] = jobs.run_synth_job(
-                        FlowConfig.from_payload(task["config"]), task["stg"],
-                        name=task["name"], store=store)
-            finally:
-                remove_dir(root)
+                        FlowConfig.from_payload(task["config"]),
+                        task["stg"], name=task["name"],
+                        store=ArtifactStore(root))
+                finally:
+                    remove_dir(root)
             return Unit(ops=len(output), output=output)
 
         started = time.perf_counter()
         reference = unit()
         replay_s = time.perf_counter() - started
+        differing = [jid for jid, result in reference.output.items()
+                     if canonical(result) != canonical(load.results[jid])]
+        if differing:
+            raise BenchError(
+                f"{len(differing)} of {len(tasks)} served results differ "
+                f"from a cold in-process run_synth_job (first: job "
+                f"{differing[0][:12]}, {tasks[differing[0]]['name']})")
         for jid, result in reference.output.items():
-            if canonical(result) != canonical(load.results[jid]):
-                raise BenchError(f"job {jid[:12]}: served result differs "
-                                 "from the in-process run_synth_job")
             if result["summary"]["verdict"] == "violating":
                 raise BenchError(f"job {jid[:12]}: verdict 'violating'")
         if not trace:
