@@ -68,6 +68,22 @@ def latency_metrics(seconds: List[float]) -> Dict[str, float]:
             "latency_p90_s": percentile(seconds, 0.9)}
 
 
+def cpu_seconds() -> float:
+    """CPU time of this process and its reaped descendants, user + system.
+
+    The timed metrics use CPU time, not wall time: on a shared host the
+    hypervisor and other processes take the CPU away for stretches that
+    wall time counts and CPU time does not (the guest kernel leaves steal
+    time out of it).  The measured work is serial, so on an idle machine
+    the two agree within ~2%.
+    """
+    total = 0.0
+    for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN):
+        usage = resource.getrusage(who)
+        total += usage.ru_utime + usage.ru_stime
+    return total
+
+
 def peak_rss_mb() -> float:
     """Peak RSS of this process plus the largest reaped descendant."""
     own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -103,7 +119,7 @@ class RoundsWorkload:
     rounds within one process would share.  Subclasses provide
     ``unit(index) -> Unit``, ``check(unit)`` (the oracle, raising
     :class:`BenchError`) and ``figures(rounds)``, which returns the run
-    figures including ``ops_per_s`` and ``latencies``.
+    figures including ``ops_per_s``.
     """
 
     name = ""
@@ -120,15 +136,18 @@ class RoundsWorkload:
         """One round, optionally under the tracer, and its oracle."""
         tracer = Tracer() if traced else None
         started = time.perf_counter()
+        cpu_started = cpu_seconds()
         if tracer is None:
             unit = self.unit(index)
         else:
             with tracer:
                 unit = self.unit(index)
         took = time.perf_counter() - started
+        cpu = cpu_seconds() - cpu_started
         self.check(unit)
         result = {"ops": unit.ops, "output": unit.output,
-                  "extra": unit.extra, "seconds": took, "traced": traced}
+                  "extra": unit.extra, "seconds": took, "cpu_s": cpu,
+                  "traced": traced}
         if tracer is not None:
             result["totals"] = tracer.totals(took)
             dump_trace(tracer, f"{self.name}-seed{self.seed}-round{index}")
@@ -168,8 +187,7 @@ class RoundsWorkload:
             elapsed += result["seconds"]
         plain = [result for result in rounds if not result["traced"]]
         figures = self.figures(plain)
-        end_to_end = {"ops_per_s": figures.pop("ops_per_s"),
-                      **latency_metrics(figures.pop("latencies"))}
+        end_to_end = {"ops_per_s": figures.pop("ops_per_s")}
         layers: Dict[str, float] = {}
         if trace:
             traced = [result for result in rounds if result["traced"]]
@@ -178,8 +196,8 @@ class RoundsWorkload:
                 add_totals(totals, result["totals"])
             layers = layer_metrics(totals)
             layers["trace.overhead_frac"] = (
-                statistics.mean(result["seconds"] for result in traced)
-                / statistics.mean(result["seconds"] for result in plain)
+                statistics.median(result["cpu_s"] for result in traced)
+                / statistics.median(result["cpu_s"] for result in plain)
                 - 1.0)
             layers.update(self.layer_figures(traced))
         return {"attempted": sum(result["ops"] for result in rounds),

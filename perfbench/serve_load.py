@@ -41,7 +41,7 @@ from common import BenchError, Unit, canonical, dir_bytes, dump_trace, \
     latency_metrics, percentile, remove_dir, scratch_dir
 from tracing import Tracer, layer_metrics
 
-#: Offered load: 70 requests (42 fresh) in a 20 s window, with the worker
+#: Offered load: 105 requests (63 fresh) in a 30 s window, with the worker
 #: about a quarter busy.  At 5/s the queueing behind heavy specs moved the
 #: 90th percentile by up to ~37% between runs on a shared 2-CPU host.
 RATE = 3.5
