@@ -78,7 +78,6 @@ def insert_state_signal(sg: StateGraph, rise_trigger: str, fall_trigger: str,
     succ = sg._succ
     initial = (sg.initial, initial_value, None)
     new.add_state(initial, codes[sg.initial] + (initial_value,))
-    new.initial = initial
     queue = deque([initial])
     seen: Set[Tuple] = {initial}
     limit = 8 * max(len(sg), 1)
@@ -117,7 +116,7 @@ def insert_state_signal(sg: StateGraph, rise_trigger: str, fall_trigger: str,
 
     if not _feasible(sg, new, rise_label, fall_label):
         return None
-    return new
+    return new.freeze()
 
 
 def insert_state_signal_sequencing(sg: StateGraph, rise_after: str,
@@ -146,7 +145,6 @@ def insert_state_signal_sequencing(sg: StateGraph, rise_after: str,
     is_input = {label: sg.is_input_label(label) for label in sg.events}
     initial = (sg.initial, initial_value, None)
     new.add_state(initial, codes[sg.initial] + (initial_value,))
-    new.initial = initial
     queue = deque([initial])
     seen: Set[Tuple] = {initial}
     limit = 8 * max(len(sg), 1)
@@ -190,7 +188,7 @@ def insert_state_signal_sequencing(sg: StateGraph, rise_after: str,
 
     if not _feasible(sg, new, rise_label, fall_label):
         return None
-    return new
+    return new.freeze()
 
 
 def _prepare_extended(sg: StateGraph, signal: str) -> StateGraph:

@@ -113,7 +113,7 @@ def sg_from_payload(payload: Dict[str, object]) -> StateGraph:
     sg.initial = payload["initial"]
     for source, label, target in payload["arcs"]:
         sg.add_arc(source, label, target)
-    return sg
+    return sg.freeze()
 
 
 # ----------------------------------------------------------------------

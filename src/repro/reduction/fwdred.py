@@ -16,9 +16,7 @@ from ``b`` to ``a``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Optional, Set, Tuple
-
-from typing import Dict
+from typing import Dict, FrozenSet, Optional, Set, Tuple
 
 from .. import engine
 from ..petri.stg import SignalKind
@@ -45,11 +43,12 @@ class ReductionResult:
         return self.valid
 
 
-#: (result, candidate-graph version) keyed by (parent signature, delayed,
-#: before).  The sweep re-explores the same configurations under different
-#: knobs, and the result of a reduction is a pure function of the parent
-#: graph.  The stored version detects callers mutating a shared candidate.
-_REDUCTION_MEMO: Dict[tuple, Tuple["ReductionResult", int]] = (
+#: Results keyed by (parent name, parent signature, delayed, before).  The
+#: sweep re-explores the same configurations under different knobs, and the
+#: result of a reduction is a pure function of the parent graph: its
+#: signature plus the name the reduced graph inherits.  Parent and result
+#: are frozen, so a shared entry never goes stale.
+_REDUCTION_MEMO: Dict[tuple, ReductionResult] = (
     engine.register_cache({}, name="reduction-results"))
 
 
@@ -63,22 +62,15 @@ def forward_reduction(sg: StateGraph, delayed: str, before: str,
     violates validity, so the exploration loop can just skip it.
     """
     if validate and engine.packed_memo_enabled():
-        key = (sg.signature(), delayed, before)
-        cached = _REDUCTION_MEMO.get(key)
-        if cached is not None:
-            result, version = cached
-            # A caller may have mutated the shared candidate graph after
-            # receiving it; its version counter exposes that, in which case
-            # the entry is stale and the reduction is rebuilt fresh.
-            if result.sg is None or result.sg._version == version:
-                return result
-        result = _forward_reduction_uncached(sg, delayed, before, True)
-        # Valid entries keep their candidate SG alive, so the cap is much
-        # tighter than the pure-integer memos.
-        if len(_REDUCTION_MEMO) > 20_000:
-            _REDUCTION_MEMO.clear()
-        _REDUCTION_MEMO[key] = (result,
-                                result.sg._version if result.sg else -1)
+        key = (sg.name, sg.signature(), delayed, before)
+        result = _REDUCTION_MEMO.get(key)
+        if result is None:
+            result = _forward_reduction_uncached(sg, delayed, before, True)
+            # Valid entries keep their candidate SG alive, so the cap is
+            # much tighter than the pure-integer memos.
+            if len(_REDUCTION_MEMO) > 20_000:
+                _REDUCTION_MEMO.clear()
+            _REDUCTION_MEMO[key] = result
         return result
     return _forward_reduction_uncached(sg, delayed, before, validate)
 

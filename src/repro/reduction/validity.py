@@ -11,7 +11,8 @@ A reduced SG is valid when:
 
 The exploration loop validates every candidate against the same parent, so
 the per-graph aggregates (live label set, persistency signature) are
-memoized per graph version in weak-keyed caches.
+memoized per graph in weak-keyed engine caches.  Taking an entry freezes
+the graph, so an entry never goes stale.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import weakref
 from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Set, Tuple
 
+from .. import engine
 from ..sg.graph import State, StateGraph
 from ..sg.properties import persistency_violations
 from ..petri.stg import SignalKind
@@ -36,29 +38,31 @@ class ValidityReport:
         return self.valid
 
 
-_PERSISTENCY_MEMO: "weakref.WeakKeyDictionary[StateGraph, Tuple[int, FrozenSet]]" = (
-    weakref.WeakKeyDictionary())
-_LIVE_LABEL_MEMO: "weakref.WeakKeyDictionary[StateGraph, Tuple[int, FrozenSet[str]]]" = (
-    weakref.WeakKeyDictionary())
+_PERSISTENCY_MEMO: "weakref.WeakKeyDictionary[StateGraph, FrozenSet]" = (
+    engine.register_cache(weakref.WeakKeyDictionary(),
+                          name="reduction-persistency"))
+_LIVE_LABEL_MEMO: "weakref.WeakKeyDictionary[StateGraph, FrozenSet[str]]" = (
+    engine.register_cache(weakref.WeakKeyDictionary(),
+                          name="reduction-live-labels"))
 
 
 def _persistency_signature(sg: StateGraph) -> FrozenSet[Tuple[State, str, str]]:
-    cached = _PERSISTENCY_MEMO.get(sg)
-    if cached is not None and cached[0] == sg._version:
-        return cached[1]
-    signature = frozenset((v.state, v.disabled, v.by)
-                          for v in persistency_violations(sg))
-    _PERSISTENCY_MEMO[sg] = (sg._version, signature)
+    signature = _PERSISTENCY_MEMO.get(sg)
+    if signature is None:
+        signature = frozenset((v.state, v.disabled, v.by)
+                              for v in persistency_violations(sg))
+        if engine.packed_memo_enabled():
+            _PERSISTENCY_MEMO[sg.freeze()] = signature
     return signature
 
 
 def _live_labels(sg: StateGraph) -> FrozenSet[str]:
-    """Labels appearing on at least one arc, memoized per graph version."""
-    cached = _LIVE_LABEL_MEMO.get(sg)
-    if cached is not None and cached[0] == sg._version:
-        return cached[1]
-    live = frozenset(label for out in sg._succ.values() for label in out)
-    _LIVE_LABEL_MEMO[sg] = (sg._version, live)
+    """Labels appearing on at least one arc, memoized per graph."""
+    live = _LIVE_LABEL_MEMO.get(sg)
+    if live is None:
+        live = frozenset(label for out in sg._succ.values() for label in out)
+        if engine.packed_memo_enabled():
+            _LIVE_LABEL_MEMO[sg.freeze()] = live
     return live
 
 

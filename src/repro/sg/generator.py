@@ -181,12 +181,11 @@ def generate_sg(stg: STG, limit: int = DEFAULT_MAX_STATES,
         raise GenerationBudgetError(exceeded.exceedance) from None
 
     sg.add_state(markings[0])
-    sg.initial = markings[0]
     for source, transition, target in run.arcs:
         sg.add_arc(markings[source], names[transition], markings[target])
 
     _assign_codes(stg, sg)
-    return sg
+    return sg.freeze()
 
 
 def _generate_unfolded(stg: STG, budget: ExplorationBudget,
@@ -214,7 +213,6 @@ def _generate_unfolded(stg: STG, budget: ExplorationBudget,
     initial_marking = net.initial_marking()
     initial = (initial_marking, initial_values)
     sg.add_state(initial, initial_values)
-    sg.initial = initial
     try:
         engine = FrontierExploration(initial, budget)
         enabled_of = {initial: frozenset(
@@ -245,7 +243,7 @@ def _generate_unfolded(stg: STG, budget: ExplorationBudget,
                 sg.add_arc(state, transition, target)
     except BudgetExceeded as exceeded:
         raise GenerationBudgetError(exceeded.exceedance) from None
-    return sg
+    return sg.freeze()
 
 
 def _assign_codes(stg: STG, sg: StateGraph) -> None:
@@ -310,15 +308,13 @@ def _assign_codes(stg: STG, sg: StateGraph) -> None:
                 else:
                     value = stg.initial_values.get(signal, 0) ^ parity
             codes[state].append(value)
-    for state, code in codes.items():
-        sg.codes[state] = tuple(code)
 
     # Honour explicitly declared initial values when they are consistent.
     for signal, declared in stg.initial_values.items():
         if signal not in sg.kinds:
             continue
         index = sg.signal_index(signal)
-        actual = sg.codes[sg.initial][index]
+        actual = codes[sg.initial][index]
         if actual != declared:
             rep, _ = union_find.find((sg.initial, signal))
             if rep in merged:
@@ -330,6 +326,6 @@ def _assign_codes(stg: STG, sg: StateGraph) -> None:
             for state in sg.states:
                 state_rep, parity = union_find.find((state, signal))
                 if state_rep == rep:
-                    code = list(sg.codes[state])
-                    code[index] ^= 1
-                    sg.codes[state] = tuple(code)
+                    codes[state][index] ^= 1
+    for state, code in codes.items():
+        sg.add_state(state, code)

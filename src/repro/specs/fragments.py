@@ -37,7 +37,6 @@ def fig8_sg() -> StateGraph:
         sg.declare_signal(signal, SignalKind.OUTPUT)
         sg.declare_event(signal, SignalEvent(signal, Direction.RISE))
     sg.add_state("s0")
-    sg.initial = "s0"
     sg.add_arc("s0", "c", "s1")
     # diamond a || d
     sg.add_arc("s1", "a", "s2")
@@ -54,7 +53,7 @@ def fig8_sg() -> StateGraph:
     sg.add_arc("s7", "a", "s8")
     # the non-persistent choice: g competes with a and d at s1
     sg.add_arc("s1", "g", "t1")
-    return sg
+    return sg.freeze()
 
 
 def fig6_spec() -> PartialSpec:

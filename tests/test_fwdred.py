@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro import engine
 from repro.reduction.fwdred import (ReductionError, ReductionResult,
                                     forward_reduction, reducible_pairs)
+from repro.pipeline.artifacts import sg_from_payload, sg_to_payload
 from repro.reduction.validity import check_validity
 from repro.sg.generator import generate_sg
 from repro.sg.graph import StateGraph
@@ -13,6 +15,7 @@ from repro.sg.regions import are_concurrent, concurrent_pairs, excitation_region
 from repro.specs.fig1 import fig1_stg
 from repro.specs.fragments import fig8_sg
 from repro.specs.lr import lr_expanded
+from repro.specs.suite import load
 
 
 class TestFig8:
@@ -146,42 +149,65 @@ class TestReduciblePairs:
 class TestCheckValidity:
     def test_identical_graphs_valid(self):
         sg = generate_sg(fig1_stg())
-        assert check_validity(sg, sg.copy()).valid
+        assert check_validity(sg, sg.copy_without_arcs(())).valid
 
     def test_lost_event_detected(self):
         sg = generate_sg(fig1_stg())
-        reduced = sg.copy()
-        for state in list(reduced.states):
-            if reduced.target(state, "Ack-") is not None:
-                reduced.remove_arc(state, "Ack-")
+        reduced = sg.copy_without_arcs(
+            (state, "Ack-") for state in sg.states
+            if sg.target(state, "Ack-") is not None)
         report = check_validity(sg, reduced)
         assert not report.valid
         assert any("disappeared" in reason for reason in report.reasons)
 
     def test_new_deadlock_detected(self):
         sg = generate_sg(fig1_stg())
-        reduced = sg.copy()
-        state = next(s for s in reduced.states
-                     if set(reduced.enabled(s)) == {"Req+"})
-        reduced.remove_arc(state, "Req+")
+        state = next(s for s in sg.states if set(sg.enabled(s)) == {"Req+"})
+        reduced = sg.copy_without_arcs([(state, "Req+")])
         report = check_validity(sg, reduced)
         assert not report.valid
 
     def test_changed_initial_detected(self):
-        sg = generate_sg(fig1_stg())
-        reduced = sg.copy()
-        reduced.initial = next(s for s in reduced.states if s != sg.initial)
+        payload = sg_to_payload(generate_sg(fig1_stg()))
+        sg = sg_from_payload(payload)
+        reduced = sg_from_payload({**payload, "initial": 1})
         report = check_validity(sg, reduced)
         assert not report.valid
         assert any("initial" in reason for reason in report.reasons)
 
     def test_delayed_input_detected(self):
         sg = generate_sg(fig1_stg())
-        reduced = sg.copy()
-        state = next(s for s in reduced.states
-                     if reduced.target(s, "Req+") is not None
-                     and len(reduced.enabled(s)) == 2)
-        reduced.remove_arc(state, "Req+")
+        state = next(s for s in sg.states
+                     if sg.target(s, "Req+") is not None
+                     and len(sg.enabled(s)) == 2)
+        reduced = sg.copy_without_arcs([(state, "Req+")])
         report = check_validity(sg, reduced)
         assert not report.valid
         assert any("delayed" in reason for reason in report.reasons)
+
+
+class TestReductionMemo:
+    @pytest.mark.parametrize("spec, delayed, before", [
+        ("micropipeline", "ain+", "aout+"), ("vme_read", "dtack-", "lds-")])
+    def test_result_keeps_parent_name(self, spec, delayed, before):
+        # Two graphs with one signature but different names must not share
+        # a memoized result: the reduced graph inherits its parent's name.
+        stg = load(spec)
+        first = forward_reduction(generate_sg(stg, name="a"), delayed, before)
+        second = forward_reduction(generate_sg(stg, name="b"), delayed, before)
+        assert first.valid and second.valid
+        assert (first.sg.name, second.sg.name) == ("a", "b")
+
+    def test_caches_off_leaves_validity_memos_empty(self):
+        tables = ("reduction-persistency", "reduction-live-labels")
+        sg = generate_sg(load("vme_read"))
+        engine.clear_caches()
+        try:
+            assert forward_reduction(sg, "dtack-", "lds-").valid
+            assert all(engine.cache_stats()[t] == 1 for t in tables)
+            engine.set_packed_memo(False)
+            assert engine.cache_stats()[tables[0]] == 0
+            assert forward_reduction(sg, "dtack-", "lds-").valid
+            assert all(engine.cache_stats()[t] == 0 for t in tables)
+        finally:
+            engine.set_packed_memo(True)

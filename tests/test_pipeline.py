@@ -238,18 +238,20 @@ class TestResume:
 
 
 class TestResultIsolation:
-    def test_caller_mutation_cannot_poison_later_runs(self):
-        # Graphs handed out by flow results belong to the caller; mutating
-        # them must not leak into the pipeline's decode memo.
+    def test_returned_graphs_are_frozen(self):
+        # Graphs handed out by pipeline and flow results are shared with
+        # the decode memo; being frozen, no caller can poison later runs.
         from repro.flow import implement
-        sg = generate_sg(load("half"))
-        first = implement(sg)
-        victim = first.resolved_sg
-        victim.remove_state(next(s for s in victim.states
-                                 if s != victim.initial))
-        second = implement(generate_sg(load("half")))
-        assert len(second.resolved_sg) == second.resolved_sg.arc_count() == 8
-        assert len(second.resolved_sg) != len(victim)
+        from repro.sg.graph import StateGraphError
+        result = run_pipeline(FlowConfig(strategy="full"),
+                              initial_sg=generate_sg(load("half")))
+        graphs = [result.initial_sg(), result.reduced_sg(),
+                  result.resolved_sg(), implement(
+                      generate_sg(load("half"))).resolved_sg]
+        assert all(sg.frozen for sg in graphs)
+        with pytest.raises(StateGraphError, match="frozen"):
+            graphs[-1].add_state("intruder")
+        assert result.resolved_sg() is result.resolved_sg()
 
 
 class TestVerifyMaxStates:

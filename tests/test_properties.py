@@ -129,10 +129,9 @@ class TestEncoding:
         arcs = [("s0", "a+", "s1"), ("s1", "b+", "s2"), ("s2", "a-", "s3")]
         sg = build_sg({"a": SignalKind.INPUT, "b": SignalKind.INPUT},
                       arcs,
+                      # craft: give s3 the same code as s0
                       codes={"s0": (0, 0), "s1": (1, 0), "s2": (1, 1),
-                             "s3": (0, 1)})
-        # craft: give s3 the same code as s0
-        sg.codes["s3"] = (0, 0)
+                             "s3": (0, 0)})
         assert not has_usc(sg)
         assert has_csc(sg)  # only inputs are enabled anywhere
 

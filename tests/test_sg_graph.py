@@ -2,8 +2,14 @@
 
 import pytest
 
+from repro.encoding.insertion import (insert_state_signal,
+                                      insert_state_signal_sequencing)
 from repro.petri.stg import Direction, SignalEvent, SignalKind
+from repro.pipeline.artifacts import sg_from_payload, sg_to_payload
+from repro.sg.generator import generate_sg
 from repro.sg.graph import StateGraph, StateGraphError
+from repro.specs.fragments import fig8_sg
+from repro.specs.lr import q_module_stg
 
 
 @pytest.fixture
@@ -124,44 +130,89 @@ class TestReachability:
     def test_backward_reachable_target_outside_within(self, diamond):
         assert diamond.backward_reachable(["s3"], within={"s0"}) == set()
 
-    def test_restrict_to_reachable(self, diamond):
-        diamond.add_state("orphan", (0, 0))
-        removed = diamond.restrict_to_reachable()
-        assert removed == 1
-        assert "orphan" not in diamond
-
 
 class TestMutation:
+    """Removing arcs derives a new graph; the parent keeps its own."""
+
     def test_remove_arc(self, diamond):
-        diamond.remove_arc("s0", "a+")
-        assert diamond.target("s0", "a+") is None
-        assert ("a+", "s0") not in diamond.predecessors("s1")
-
-    def test_remove_missing_arc(self, diamond):
-        with pytest.raises(StateGraphError):
-            diamond.remove_arc("s3", "a+")
-
-    def test_remove_state(self, diamond):
-        diamond.remove_state("s1")
-        assert "s1" not in diamond
-        assert diamond.target("s0", "a+") is None
-        assert ("b+", "s1") not in diamond.predecessors("s3")
-
-    def test_remove_initial_state_clears_initial(self, diamond):
-        diamond.remove_state("s0")
-        assert diamond.initial is None
+        reduced = diamond.copy_without_arcs([("s2", "a+")])
+        assert reduced.target("s2", "a+") is None
+        assert ("a+", "s2") not in reduced.predecessors("s3")
+        assert diamond.target("s2", "a+") == "s3"
 
     def test_copy_is_independent(self, diamond):
-        clone = diamond.copy()
-        clone.remove_arc("s0", "a+")
+        clone = diamond.copy_without_arcs(())
+        diamond.add_state("s4", (0, 0))
+        assert "s4" not in clone
+        clone.copy_without_arcs([("s0", "a+")])
+        assert clone.target("s0", "a+") == "s1"
         assert diamond.target("s0", "a+") == "s1"
 
+
+class TestDerivation:
+    """Reductions derive a new graph from a parent instead of editing it."""
+
+    def test_unreachable_states_pruned(self, diamond):
+        reduced = diamond.copy_without_arcs([("s0", "a+")])
+        assert "s1" not in reduced
+        assert reduced.target("s0", "a+") is None
+        assert ("b+", "s1") not in reduced.predecessors("s3")
+
+    def test_orphans_dropped(self, diamond):
+        diamond.add_state("orphan", (0, 0))
+        assert "orphan" not in diamond.copy_without_arcs(())
+
     def test_copy_preserves_everything(self, diamond):
-        clone = diamond.copy("c")
+        clone = diamond.copy_without_arcs((), name="c")
         assert clone.name == "c"
         assert clone.codes == diamond.codes
         assert set(clone.arcs()) == set(diamond.arcs())
         assert clone.initial == diamond.initial
+        assert clone.signature() == diamond.signature()
+
+
+class TestFrozen:
+    """Graphs are built once, then read."""
+
+    CONSTRUCTION = [
+        lambda sg: sg.declare_signal("c", SignalKind.OUTPUT),
+        lambda sg: sg.declare_event("a-"),
+        lambda sg: sg.add_state("s4"),
+        lambda sg: sg.add_state("s0", (1, 1)),
+        lambda sg: sg.add_arc("s3", "a+", "s0"),
+        lambda sg: setattr(sg, "initial", "s1"),
+    ]
+
+    @pytest.mark.parametrize("construct", CONSTRUCTION)
+    def test_construction_rejected_once_frozen(self, diamond, construct):
+        construct(diamond)  # still open
+        diamond.freeze()
+        with pytest.raises(StateGraphError, match="frozen"):
+            construct(diamond)
+
+    @pytest.mark.parametrize("view", [
+        lambda sg: sg.signature(), lambda sg: sg.compiled(),
+        lambda sg: sg.code_int("s0"), lambda sg: sg.predecessors("s3"),
+        lambda sg: sg.backward_reachable(["s3"])])
+    def test_derived_view_freezes(self, diamond, view):
+        assert not diamond.frozen
+        view(diamond)
+        assert diamond.frozen
+
+    def test_codes_are_read_only(self, diamond):
+        with pytest.raises(TypeError):
+            diamond.codes["s0"] = (1, 1)
+        assert diamond.code_of("s0") == (0, 0)
+
+    def test_builders_return_frozen_graphs(self, diamond):
+        generated = generate_sg(q_module_stg())
+        built = [generated, generated.copy_without_arcs(()),
+                 diamond.copy_without_arcs(()),
+                 sg_from_payload(sg_to_payload(generated)), fig8_sg(),
+                 insert_state_signal(generated, "ro+", "lo+", "x"),
+                 insert_state_signal_sequencing(generated, "ro+", "lo+", "x")]
+        assert all(sg is not None and sg.frozen for sg in built)
+        assert not diamond.frozen
 
 
 class TestDot:
