@@ -8,15 +8,20 @@ without losing cycle time -- the paper's headline Table 2 result.
 Run:  python examples/mmu_controller.py        (takes a couple of minutes)
 """
 
-from repro import full_reduction, generate_sg, implement, reduce_concurrency
+from repro import (FlowConfig, full_reduction, generate_sg,
+                   reduce_concurrency, run_pipeline)
 from repro.specs.mmu import TABLE2_KEEP_CONC, keep_conc_for, mmu_expanded
 
+#: Implement a state graph as given: no further concurrency reduction.
+AS_IS = FlowConfig(strategy="none")
 
-def show(report) -> None:
-    name, area, csc, cycle, inputs = report.row()
-    flag = "" if report.csc_resolved else "  (estimate)"
-    print(f"{name:18s} area={area:<6} #CSC={csc} cycle={cycle:<5} "
-          f"inputs={inputs}{flag}")
+
+def show(result) -> None:
+    cycle = result.cycle()
+    flag = "" if result.csc_resolved() else "  (estimate)"
+    print(f"{result.name:18s} area={result.area():<6} "
+          f"#CSC={len(result.insertions())} cycle={cycle.cycle_time:<5} "
+          f"inputs={cycle.input_event_count}{flag}")
 
 
 def main() -> None:
@@ -24,20 +29,22 @@ def main() -> None:
     sg = generate_sg(mmu_expanded())
     print(f"original (max concurrency): {len(sg)} states\n")
 
-    original = implement(sg, name="original", max_csc_signals=3)
-    show(original)
+    show(run_pipeline(AS_IS.replace(max_csc_signals=3), initial_sg=sg,
+                      name="original"))
 
     search = reduce_concurrency(sg, max_explored=400, patience=200)
-    show(implement(search.best, name="original reduced"))
+    show(run_pipeline(AS_IS, initial_sg=search.best,
+                      name="original reduced"))
 
     csc_biased = reduce_concurrency(sg, weight=0.1, max_explored=400,
                                     patience=200)
-    show(implement(csc_biased.best, name="csc reduced"))
+    show(run_pipeline(AS_IS, initial_sg=csc_biased.best,
+                      name="csc reduced"))
 
     for name, channels in TABLE2_KEEP_CONC.items():
         reduced = full_reduction(sg, keep_conc=keep_conc_for(channels),
                                  size_frontier=3)
-        show(implement(reduced, name=name))
+        show(run_pipeline(AS_IS, initial_sg=reduced, name=name))
 
     print("\nReduced implementations run at less than half of the original's"
           "\narea with comparable critical cycles, matching Table 2's shape.")

@@ -10,7 +10,7 @@ encoding, and maps the result onto a 2-input gate library.
 Run:  python examples/quickstart.py
 """
 
-from repro import ChannelRole, PartialSpec, run_flow
+from repro import ChannelRole, FlowConfig, PartialSpec, run_pipeline
 
 
 def main() -> None:
@@ -21,25 +21,26 @@ def main() -> None:
     spec.cycle("l?", "r!", "r?", "l!")
     spec.mark("<l!,l?>")
 
-    result = run_flow(spec, name="lr-auto")
-    report = result.report
+    result = run_pipeline(FlowConfig(), spec=spec, name="lr-auto")
+    circuit, cycle = result.circuit(), result.cycle()
 
     print("=== LR-process, automatic synthesis ===")
-    print(f"expanded STG : {result.expanded}")
-    print(f"initial SG   : {len(result.initial_sg)} states "
+    print(f"expanded STG : {result.expanded_stg()}")
+    print(f"initial SG   : {len(result.initial_sg())} states "
           f"(maximal reset concurrency)")
-    print(f"reduced SG   : {len(report.sg)} states after concurrency reduction")
-    print(f"CSC signals  : {report.csc_signal_count} inserted")
-    print(f"mapped area  : {report.area} units")
-    print(f"crit. cycle  : {report.cycle_time} (inputs=2, outputs=1)")
-    print(f"input events : {report.input_event_count} on the cycle")
+    print(f"reduced SG   : {len(result.reduced_sg())} states after "
+          f"concurrency reduction")
+    print(f"CSC signals  : {len(result.insertions())} inserted")
+    print(f"mapped area  : {result.area()} units")
+    print(f"crit. cycle  : {cycle.cycle_time} (inputs=2, outputs=1)")
+    print(f"input events : {cycle.input_event_count} on the cycle")
     print()
     print("Equations:")
-    for signal, equation in sorted(report.circuit.equations.items()):
+    for signal, equation in sorted(circuit.equations.items()):
         print(f"  {equation}")
     print()
     print("Netlist:")
-    print(report.circuit.netlist.to_verilog_like())
+    print(circuit.netlist.to_verilog_like())
 
 
 if __name__ == "__main__":

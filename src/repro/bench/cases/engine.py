@@ -56,17 +56,19 @@ def _ablation_sweep():
     return results
 
 
-def _report_fingerprint(name, report) -> str:
+def _report_fingerprint(name, result) -> str:
+    insertions = result.insertions()
     lines = [f"design {name}",
-             f"csc_resolved {report.csc_resolved}",
-             f"csc_signals {report.csc_signal_count}"]
-    for choice in report.insertions:
+             f"csc_resolved {result.csc_resolved()}",
+             f"csc_signals {len(insertions)}"]
+    for choice in insertions:
         lines.append(f"insertion {choice.signal} {choice.style} "
                      f"rise_after={choice.rise_trigger} "
                      f"fall_after={choice.fall_trigger} "
                      f"init={choice.initial_value}")
-    if report.circuit is not None:
-        for signal, impl in report.circuit.signals.items():
+    circuit = result.circuit()
+    if circuit is not None:
+        for signal, impl in circuit.signals.items():
             covers = " ".join(
                 f"{kind}=[{cover}]"
                 for kind, cover in (("cover", impl.cover),
@@ -75,32 +77,34 @@ def _report_fingerprint(name, report) -> str:
                 if cover is not None)
             lines.append(f"signal {signal} style={impl.style} "
                          f"eq={impl.equation} {covers}")
-        lines.append(report.circuit.netlist.to_verilog_like())
+        lines.append(circuit.netlist.to_verilog_like())
     return "\n".join(lines)
 
 
 def _synthesis_fingerprint() -> str:
     """Canonical dump of the synthesis outputs over the three suites."""
-    from repro import (full_reduction, generate_sg, implement,
-                      reduce_concurrency)
+    from repro import (FlowConfig, full_reduction, generate_sg,
+                       reduce_concurrency, run_pipeline)
     from repro.specs.lr import TABLE1_KEEP_CONC, lr_expanded
     from repro.specs.mmu import mmu_expanded
     from repro.specs.par import par_expanded
 
+    as_is = FlowConfig(strategy="none")
     parts = []
     lr_sg = generate_sg(lr_expanded())
-    parts.append(_report_fingerprint(
-        "lr/full", implement(full_reduction(lr_sg), name="lr/full")))
-    parts.append(_report_fingerprint(
-        "lr/max", implement(lr_sg, name="lr/max")))
+    parts.append(_report_fingerprint("lr/full", run_pipeline(
+        as_is, initial_sg=full_reduction(lr_sg), name="lr/full")))
+    parts.append(_report_fingerprint("lr/max", run_pipeline(
+        as_is, initial_sg=lr_sg, name="lr/max")))
     for pair_name, keep in TABLE1_KEEP_CONC.items():
         reduced = full_reduction(lr_sg, keep_conc=keep)
-        parts.append(_report_fingerprint(
-            f"lr/{pair_name}", implement(reduced, name=pair_name)))
+        parts.append(_report_fingerprint(f"lr/{pair_name}", run_pipeline(
+            as_is, initial_sg=reduced, name=pair_name)))
     for name, spec in (("mmu", mmu_expanded), ("par", par_expanded)):
         sg = generate_sg(spec())
         best = reduce_concurrency(sg).best
-        parts.append(_report_fingerprint(name, implement(best, name=name)))
+        parts.append(_report_fingerprint(name, run_pipeline(
+            as_is, initial_sg=best, name=name)))
     return "\n".join(parts)
 
 

@@ -49,30 +49,34 @@ def _paper_table(result: dict, paper: dict):
 # Table 1: the LR-process area/performance trade-off.
 
 def run_table1(context) -> dict:
-    from repro import full_reduction, generate_sg, implement, implement_stg
+    from repro import FlowConfig, full_reduction, generate_sg, run_pipeline
     from repro.sg.regions import are_concurrent
     from repro.specs.lr import TABLE1_KEEP_CONC, lr_expanded, q_module_stg
+
+    as_is = FlowConfig(strategy="none")
 
     def build():
         sg = generate_sg(lr_expanded())
         reports = {
-            "Q-module (hand)": implement_stg(q_module_stg(),
-                                             name="Q-module (hand)"),
-            "Full reduction": implement(full_reduction(sg),
-                                        name="Full reduction"),
-            "Max. concurrency": implement(sg, name="Max. concurrency"),
+            "Q-module (hand)": run_pipeline(as_is, stg=q_module_stg(),
+                                            name="Q-module (hand)"),
+            "Full reduction": run_pipeline(
+                as_is, initial_sg=full_reduction(sg), name="Full reduction"),
+            "Max. concurrency": run_pipeline(as_is, initial_sg=sg,
+                                             name="Max. concurrency"),
         }
         pairs_kept = True
         for name, keep in TABLE1_KEEP_CONC.items():
             reduced = full_reduction(sg, keep_conc=keep)
-            reports[name] = implement(reduced, name=name)
+            reports[name] = run_pipeline(as_is, initial_sg=reduced, name=name)
             label_a, label_b = keep[0]
             pairs_kept &= are_concurrent(reduced, label_a, label_b)
         return reports, pairs_kept
 
     seconds, (reports, pairs_kept) = context.best_of(build)
-    area = {name: report.area for name, report in reports.items()}
-    csc = {name: report.csc_signal_count for name, report in reports.items()}
+    area = {name: report.area() for name, report in reports.items()}
+    csc = {name: len(report.insertions())
+           for name, report in reports.items()}
     pair_names = [n for n in reports if n not in
                   ("Q-module (hand)", "Full reduction", "Max. concurrency")]
     return {
@@ -88,11 +92,11 @@ def run_table1(context) -> dict:
         "lo_ro_area": area["lo || ro"],
         "total_area": sum(area.values()),
         "max_csc_signals": csc["Max. concurrency"],
-        "all_resolved": all(r.csc_resolved for r in reports.values()),
-        "input_events": sorted({r.input_event_count
+        "all_resolved": all(r.csc_resolved() for r in reports.values()),
+        "input_events": sorted({r.cycle().input_event_count
                                 for r in reports.values()}),
-        "max_cycle": reports["Max. concurrency"].cycle_time,
-        "q_cycle": reports["Q-module (hand)"].cycle_time,
+        "max_cycle": reports["Max. concurrency"].cycle().cycle_time,
+        "q_cycle": reports["Q-module (hand)"].cycle().cycle_time,
     }
 
 
@@ -146,28 +150,31 @@ register(BenchCase(
 # Table 2: the MMU controller case study.
 
 def run_table2(context) -> dict:
-    from repro import (full_reduction, generate_sg, implement,
-                       reduce_concurrency)
+    from repro import (FlowConfig, full_reduction, generate_sg,
+                       reduce_concurrency, run_pipeline)
     from repro.reduction.cost import CostFunction
     from repro.specs.mmu import (TABLE2_KEEP_CONC, keep_conc_for,
                                  mmu_expanded)
 
+    as_is = FlowConfig(strategy="none")
+
     def build():
         sg = generate_sg(mmu_expanded())
-        reports = {"original": implement(sg, name="original",
-                                         max_csc_signals=3)}
+        reports = {"original": run_pipeline(
+            as_is.replace(max_csc_signals=3), initial_sg=sg,
+            name="original")}
         balanced = reduce_concurrency(sg, max_explored=400, patience=200)
-        reports["original reduced"] = implement(balanced.best,
-                                                name="original reduced")
+        reports["original reduced"] = run_pipeline(
+            as_is, initial_sg=balanced.best, name="original reduced")
         csc_first = reduce_concurrency(
             sg, cost_function=CostFunction(weight=0.05, csc_scale=100.0),
             max_explored=1200, patience=10**9)
-        reports["csc reduced"] = implement(csc_first.best,
-                                           name="csc reduced")
+        reports["csc reduced"] = run_pipeline(
+            as_is, initial_sg=csc_first.best, name="csc reduced")
         for name, channels in TABLE2_KEEP_CONC.items():
             reduced = full_reduction(sg, keep_conc=keep_conc_for(channels),
                                      size_frontier=3)
-            reports[name] = implement(reduced, name=name)
+            reports[name] = run_pipeline(as_is, initial_sg=reduced, name=name)
         return sg, reports
 
     # One round only: the unreduced-MMU CSC search is a 40+ second
@@ -175,20 +182,22 @@ def run_table2(context) -> dict:
     # trajectory tracks but never gates on.
     seconds, (sg, reports) = context.best_of(build, rounds=1)
     reduced_rows = {n: r for n, r in reports.items() if n != "original"}
-    best_area = min(r.area for r in reduced_rows.values())
+    best_area = min(r.area() for r in reduced_rows.values())
+    original_area = reports["original"].area()
+    original_cycle = reports["original"].cycle().cycle_time
     return {
         "rows": [report_row(report) for report in reports.values()],
         "sg_states": len(sg),
-        "original_area": reports["original"].area,
+        "original_area": original_area,
         "best_reduced_area": best_area,
-        "csc_reduced_area": reports["csc reduced"].area,
-        "csc_reduced_signals": reports["csc reduced"].csc_signal_count,
-        "area_ratio_best_vs_original": best_area / reports["original"].area,
+        "csc_reduced_area": reports["csc reduced"].area(),
+        "csc_reduced_signals": len(reports["csc reduced"].insertions()),
+        "area_ratio_best_vs_original": best_area / original_area,
         "table_seconds": seconds,
-        "all_reduced_resolved": all(r.csc_resolved
+        "all_reduced_resolved": all(r.csc_resolved()
                                     for r in reduced_rows.values()),
         "some_row_no_slower": any(
-            r.cycle_time <= reports["original"].cycle_time * 1.3
+            r.cycle().cycle_time <= original_cycle * 1.3
             for r in reduced_rows.values()),
     }
 

@@ -56,11 +56,16 @@ def print_table(title: str, header: Sequence[str],
         print("  ".join(str(c).ljust(w) for c, w in zip(row, widths)))
 
 
-def report_row(report) -> tuple:
-    """(name, area, #CSC, cycle, inputs) with an estimate marker."""
-    name, area, csc, cycle, inputs = report.row()
-    area_text = f"{area}" if report.csc_resolved else f"~{area}"
-    return (name, area_text, csc, cycle, inputs)
+def report_row(result) -> tuple:
+    """(name, area, #CSC, cycle, inputs) of a
+    :class:`~repro.pipeline.PipelineResult`, with an estimate marker."""
+    area = result.area()
+    cycle = result.cycle()
+    return (result.name,
+            f"{area}" if result.csc_resolved() else f"~{area}",
+            len(result.insertions()),
+            None if cycle is None else cycle.cycle_time,
+            None if cycle is None else cycle.input_event_count)
 
 
 @dataclass

@@ -65,9 +65,8 @@ import sys
 from typing import List, Optional
 
 from .encoding.csc import irresolvable_conflicts
-from .flow import STRATEGIES, run_flow_stg
 from .petri.parser import read_stg, write_stg
-from .pipeline.store import ArtifactStore
+from .pipeline import STRATEGIES, ArtifactStore, FlowConfig, run_pipeline
 from .reduction.explore import full_reduction, reduce_concurrency
 from .sg.generator import generate_sg
 from .sg.properties import check_implementability
@@ -246,41 +245,41 @@ def cmd_synth(args: argparse.Namespace) -> int:
     else:
         strategy = "best-first"
     store = ArtifactStore(args.store) if args.store else None
+    stg = _read_spec(args.spec)
     # --engine symbolic = symbolic coding pre-flight, explicit synthesis
     # (the netlist needs the materialized state graph); packed/tuples
     # select the marking-exploration core of the generation stage.
+    if args.engine == "symbolic":
+        from .sg.properties import check_coding
+        _print_coding(check_coding(stg, engine="symbolic"))
     sg_engine = args.engine if args.engine in ("packed", "tuples") else "auto"
-    check_engine = "symbolic" if args.engine == "symbolic" else "auto"
+    config = FlowConfig.create(
+        strategy=strategy, keep_conc=_parse_keep(getattr(args, "keep", None)),
+        weight=args.weight, delays=delays, max_csc_signals=args.max_csc,
+        sg_max_states=args.sg_max_states, sg_max_arcs=args.sg_max_arcs,
+        sg_engine=sg_engine)
     from .sg.generator import GenerationBudgetError
     try:
-        flow = run_flow_stg(_read_spec(args.spec), strategy=strategy,
-                            keep_conc=_parse_keep(getattr(args, "keep", None)),
-                            weight=args.weight, delays=delays,
-                            max_csc_signals=args.max_csc,
-                            sg_max_states=args.sg_max_states,
-                            sg_max_arcs=args.sg_max_arcs,
-                            sg_engine=sg_engine, check_engine=check_engine,
-                            store=store)
+        result = run_pipeline(config, stg=stg, name=stg.name, store=store)
     except GenerationBudgetError as exc:
         raise SystemExit(f"{exc.exceedance.diagnose('state graph')} "
                          "(raise --sg-max-states/--sg-max-arcs)")
-    if flow.coding is not None:
-        _print_coding(flow.coding)
-    report = flow.report
-    print(f"states: {len(flow.initial_sg)} -> {len(flow.reduced_sg)} "
-          "after reduction")
-    print(f"CSC signals inserted: {report.csc_signal_count} "
-          f"(resolved: {report.csc_resolved})")
-    if report.circuit is not None:
-        print(f"area: {report.area}")
-        for equation in sorted(report.circuit.equations.values()):
+    print(f"states: {len(result.initial_sg())} -> "
+          f"{len(result.reduced_sg())} after reduction")
+    print(f"CSC signals inserted: {len(result.insertions())} "
+          f"(resolved: {result.csc_resolved()})")
+    circuit = result.circuit()
+    if circuit is not None:
+        print(f"area: {result.area()}")
+        for equation in sorted(circuit.equations.values()):
             print(f"  {equation}")
     else:
-        print(f"area (lower-bound estimate, CSC unresolved): {report.area}")
-    if report.cycle is not None:
-        print(f"critical cycle: {report.cycle_time} "
-              f"({report.input_event_count} input events)")
-    return 0 if report.csc_resolved else 1
+        print(f"area (lower-bound estimate, CSC unresolved): {result.area()}")
+    cycle = result.cycle()
+    if cycle is not None:
+        print(f"critical cycle: {cycle.cycle_time} "
+              f"({cycle.input_event_count} input events)")
+    return 0 if result.csc_resolved() else 1
 
 
 def _parse_csv(text: Optional[str]) -> Optional[List[str]]:
@@ -363,19 +362,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
             # Through the staged pipeline so --store reuses the reduction,
             # CSC and synthesis artifacts across runs, not just the final
             # certificate.
-            implementation = run_flow_stg(
-                None, strategy=strategy, keep_conc=keep, weight=args.weight,
-                max_csc_signals=args.max_csc, initial_sg=initial_sg,
-                name=label, store=store).report
-            if implementation.circuit is None:
+            config = FlowConfig.create(strategy=strategy, keep_conc=keep,
+                                       weight=args.weight,
+                                       max_csc_signals=args.max_csc)
+            implementation = run_pipeline(config, initial_sg=initial_sg,
+                                          name=label, store=store)
+            circuit = implementation.circuit()
+            if circuit is None:
                 report = skipped_report(
                     label, "no synthesized circuit (unresolved CSC or "
                     "toggle specification)", model=args.model)
                 cached = False
             else:
                 report, cached = verify_netlist(
-                    implementation.circuit.netlist,
-                    implementation.resolved_sg, model=args.model,
+                    circuit.netlist,
+                    implementation.resolved_sg(), model=args.model,
                     max_states=args.max_states, name=label, store=store)
             reports.append(report)
             if report.skipped:

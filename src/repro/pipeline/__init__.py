@@ -11,10 +11,7 @@ This package is the spine the whole system runs on:
   :class:`ArtifactStore` shared by pipeline stages, sweep rows and
   verification certificates;
 * :mod:`.stages` -- :func:`run_pipeline`, the staged evaluation with
-  stage-granular warm-store resume.
-
-``repro.flow`` keeps the familiar ``run_flow``/``run_flow_stg``/
-``implement`` entry points as thin wrappers over :func:`run_pipeline`.
+  stage-granular warm-store resume, and the only way into the flow.
 """
 
 from .config import (DEFAULT_VERIFY_MAX_STATES, STAGE_ORDER,

@@ -3,13 +3,13 @@
 :class:`FlowConfig` is a frozen dataclass naming one point of the design
 space the Fig. 4 flow can evaluate: reduction strategy and search budget,
 CSC insertion budget, delay model, library, synthesis options and the
-verification configuration.  ``run_flow``/``run_flow_stg``/``implement``,
-the sweep grid and the CLI all construct one of these instead of
-re-declaring the same keyword sprawl, so the knobs cannot drift apart.
+verification configuration.  The sweep grid, the service, the benchmarks
+and the CLI all construct one of these and hand it to
+:func:`~repro.pipeline.stages.run_pipeline`, so the knobs cannot drift
+apart.
 
-The per-strategy exploration defaults that used to be duplicated between
-``flow.reduce_sg`` and ``sweep.grid.make_point`` live here too
-(:data:`STRATEGY_DEFAULTS`); both call sites now resolve them through
+The per-strategy exploration defaults live here too
+(:data:`STRATEGY_DEFAULTS`), resolved through
 :meth:`FlowConfig.effective_frontier` / :meth:`effective_max_explored`.
 
 A config serializes to deterministic JSON (:meth:`to_json` /
@@ -33,7 +33,7 @@ from ..timing.delays import TABLE1_DELAYS, DelayModel
 from .hashing import digest_payload, fraction_text
 
 __all__ = [
-    "CHECK_ENGINES", "DEFAULT_VERIFY_MAX_STATES", "SG_ENGINES",
+    "DEFAULT_VERIFY_MAX_STATES", "SG_ENGINES",
     "STAGE_ORDER", "STRATEGIES", "STRATEGY_DEFAULTS", "VERIFY_MODELS",
     "FlowConfig", "canonical_keep", "delays_from_payload", "delays_payload",
     "library_name", "register_library", "resolve_library",
@@ -65,12 +65,8 @@ VERIFY_MODELS = ("atomic", "structural")
 #: Marking-exploration cores for SG generation: ``auto`` tries the packed
 #: engine and falls back to tuples, the others force one core.  The
 #: symbolic engine never materializes a state graph, so it is not an SG
-#: engine; see :data:`CHECK_ENGINES`.
+#: engine.
 SG_ENGINES = ("auto", "packed", "tuples")
-
-#: Engines for coding (consistency/USC/CSC) checks.  ``symbolic`` runs
-#: the BDD path (:mod:`repro.symbolic`), which never enumerates states.
-CHECK_ENGINES = ("auto", "packed", "tuples", "symbolic")
 
 #: Named libraries a config can reference.  Library objects are not
 #: serializable, so configs carry the *name*; custom libraries register
@@ -179,12 +175,9 @@ class FlowConfig:
     #: ``None`` keeps the generator's historical default state cap.
     sg_max_states: Optional[int] = None
     sg_max_arcs: Optional[int] = None
-    #: Marking-exploration core for SG generation (:data:`SG_ENGINES`)
-    #: and engine for coding checks run on this config's behalf
-    #: (:data:`CHECK_ENGINES`).  The defaults reproduce the historical
-    #: behaviour byte for byte.
+    #: Marking-exploration core for SG generation (:data:`SG_ENGINES`).
+    #: The default reproduces the historical behaviour byte for byte.
     sg_engine: str = "auto"
-    check_engine: str = "auto"
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
@@ -196,9 +189,6 @@ class FlowConfig:
         if self.sg_engine not in SG_ENGINES:
             raise ValueError(f"unknown SG engine {self.sg_engine!r}; "
                              f"expected one of {SG_ENGINES}")
-        if self.check_engine not in CHECK_ENGINES:
-            raise ValueError(f"unknown check engine {self.check_engine!r}; "
-                             f"expected one of {CHECK_ENGINES}")
 
     @staticmethod
     def create(strategy: str = "best-first",
@@ -217,8 +207,7 @@ class FlowConfig:
                verify_max_states: Optional[int] = None,
                sg_max_states: Optional[int] = None,
                sg_max_arcs: Optional[int] = None,
-               sg_engine: str = "auto",
-               check_engine: str = "auto") -> "FlowConfig":
+               sg_engine: str = "auto") -> "FlowConfig":
         """Build a config from flow-style arguments, normalizing as it goes.
 
         Accepts a :class:`Library` object or name for ``library`` and
@@ -250,8 +239,7 @@ class FlowConfig:
                            else int(sg_max_states)),
             sg_max_arcs=(None if sg_max_arcs is None
                          else int(sg_max_arcs)),
-            sg_engine=sg_engine,
-            check_engine=check_engine)
+            sg_engine=sg_engine)
 
     def replace(self, **changes) -> "FlowConfig":
         """A copy with the given fields changed (keep_conc canonicalized)."""
@@ -260,7 +248,7 @@ class FlowConfig:
         return dataclasses.replace(self, **changes)
 
     # ------------------------------------------------------------------
-    # per-strategy defaults (the single home; flow and sweep both use it)
+    # per-strategy defaults (the single home)
     # ------------------------------------------------------------------
     def effective_frontier(self) -> Optional[int]:
         """The beam width actually used by this strategy."""
@@ -299,7 +287,6 @@ class FlowConfig:
             "sg_max_states": self.sg_max_states,
             "sg_max_arcs": self.sg_max_arcs,
             "sg_engine": self.sg_engine,
-            "check_engine": self.check_engine,
         }
 
     @staticmethod
@@ -324,10 +311,10 @@ class FlowConfig:
             # budgets existed; missing means "generator default".
             sg_max_states=payload.get("sg_max_states"),
             sg_max_arcs=payload.get("sg_max_arcs"),
-            # Absent before the engine knobs existed; missing means the
-            # historical auto behaviour.
-            sg_engine=payload.get("sg_engine", "auto"),
-            check_engine=payload.get("check_engine", "auto"))
+            # Absent before the engine knob existed; missing means the
+            # historical auto behaviour.  Keys of retired knobs (the
+            # coding-check engine no stage read) are ignored.
+            sg_engine=payload.get("sg_engine", "auto"))
 
     def to_json(self) -> str:
         """The payload as deterministic, sorted JSON text."""

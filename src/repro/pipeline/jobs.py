@@ -1,9 +1,10 @@
 """Job-oriented pipeline entry point: digests out, not objects.
 
-The classic entry points (:mod:`repro.flow`) return live in-memory reports
--- state graphs, circuits, exploration traces.  A long-running service
-cannot hand those across process boundaries, and it does not need to: with
-an :class:`~repro.pipeline.store.ArtifactStore` every stage payload is
+:func:`~repro.pipeline.stages.run_pipeline` returns a live
+:class:`~repro.pipeline.stages.PipelineResult` -- state graphs, circuits,
+exploration traces.  A long-running service cannot hand those across
+process boundaries, and it does not need to: with an
+:class:`~repro.pipeline.store.ArtifactStore` every stage payload is
 already persisted under a content digest.  :func:`run_synth_job` evaluates
 one design point and returns a **pure-JSON job payload**: the per-stage
 artifact digests (resolvable through ``GET /artifacts/<digest>`` or

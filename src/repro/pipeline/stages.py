@@ -149,9 +149,8 @@ def run_reduction(config: FlowConfig, sg: StateGraph
                              Optional[ExplorationStats]]:
     """Apply the configured reduction strategy to a live state graph.
 
-    The single implementation behind both :func:`repro.flow.reduce_sg` and
-    the pipeline's reduce stage; per-strategy frontier/budget defaults come
-    from :data:`repro.pipeline.config.STRATEGY_DEFAULTS`.
+    The pipeline's reduce stage; per-strategy frontier/budget defaults
+    come from :data:`repro.pipeline.config.STRATEGY_DEFAULTS`.
     """
     if config.strategy == "none":
         return sg, None, None
@@ -332,6 +331,12 @@ class PipelineResult:
         """The optimistic area estimate when CSC stayed unresolved."""
         return self.results["synthesize"].payload["area_estimate"]
 
+    def area(self) -> Optional[float]:
+        """The mapped area; falls back to :meth:`area_estimate` when CSC
+        is unresolved (flagged by :meth:`csc_resolved`)."""
+        circuit = self.circuit()
+        return self.area_estimate() if circuit is None else circuit.area
+
     def resynthesised_stg(self):
         """The re-derived STG, when ``resynthesise`` was enabled."""
         text = self.results["synthesize"].payload["stg"]
@@ -365,8 +370,7 @@ def run_pipeline(config: FlowConfig,
     Exactly one entry point must be given: a :class:`PartialSpec`
     (runs handshake expansion first), an :class:`STG`/``.g`` text (starts
     at SG generation) or a pre-generated ``initial_sg`` (the sweep's entry;
-    also how :func:`repro.flow.implement` evaluates an already-reduced
-    graph under ``strategy="none"``).
+    under ``strategy="none"`` it evaluates an already-reduced graph as-is).
     """
     with obs_span("pipeline", strategy=config.strategy) as record:
         result = _run_stages(config, spec=spec, stg=stg, stg_text=stg_text,

@@ -90,6 +90,18 @@ class TestSynth:
         # the output delay is untouched: only the CSC-signal events slowed
         assert "CSC signals inserted: 2" in slow
 
+    def test_symbolic_engine_prints_coding_preflight(self, capsys):
+        # --engine symbolic prints the BDD coding report, then exactly the
+        # synthesis lines the explicit engine prints.
+        assert main(["synth", "half", "--engine", "symbolic"]) == 0
+        symbolic = capsys.readouterr().out
+        assert main(["synth", "half", "--engine", "auto"]) == 0
+        explicit = capsys.readouterr().out
+        assert symbolic.endswith(explicit)
+        report = symbolic[:-len(explicit)]
+        assert report.startswith("coding report for half (engine: symbolic)")
+        assert "CSC conflicts" in report
+
 
 class TestKeepRoundtrip:
     def test_keep_preserved_through_reduce_output(self, lr_file, tmp_path,

@@ -83,6 +83,8 @@ class TestFlowConfig:
         config = FlowConfig.create(strategy="full")
         payload = config.to_payload()
         del payload["sg_max_states"], payload["sg_max_arcs"]
+        # Keys of retired knobs are ignored, so stored payloads still load.
+        payload["retired_knob"] = "symbolic"
         revived = FlowConfig.from_payload(payload)
         assert revived == config
         assert revived.sg_max_states is None
@@ -239,15 +241,15 @@ class TestResume:
 
 class TestResultIsolation:
     def test_returned_graphs_are_frozen(self):
-        # Graphs handed out by pipeline and flow results are shared with
-        # the decode memo; being frozen, no caller can poison later runs.
-        from repro.flow import implement
+        # Graphs handed out by pipeline results are shared with the
+        # decode memo; being frozen, no caller can poison later runs.
         from repro.sg.graph import StateGraphError
         result = run_pipeline(FlowConfig(strategy="full"),
                               initial_sg=generate_sg(load("half")))
         graphs = [result.initial_sg(), result.reduced_sg(),
-                  result.resolved_sg(), implement(
-                      generate_sg(load("half"))).resolved_sg]
+                  result.resolved_sg(), run_pipeline(
+                      FlowConfig(strategy="none"),
+                      initial_sg=generate_sg(load("half"))).resolved_sg()]
         assert all(sg.frozen for sg in graphs)
         with pytest.raises(StateGraphError, match="frozen"):
             graphs[-1].add_state("intruder")
@@ -256,13 +258,13 @@ class TestResultIsolation:
 
 class TestVerifyMaxStates:
     def test_flow_plumbs_the_cap(self):
-        from repro.flow import implement, run_flow_stg
-        flow = run_flow_stg(load("half"), strategy="full", verify=True,
-                            verify_max_states=3)
-        assert flow.report.verification.verdict == "state-limit"
-        report = implement(generate_sg(load("half")), verify=True,
-                           verify_max_states=3)
-        assert report.verification.verdict == "state-limit"
+        capped = FlowConfig.create(strategy="full", verify=True,
+                                   verify_max_states=3)
+        result = run_pipeline(capped, stg=load("half"))
+        assert result.verification().verdict == "state-limit"
+        result = run_pipeline(capped.replace(strategy="none"),
+                              initial_sg=generate_sg(load("half")))
+        assert result.verification().verdict == "state-limit"
 
     def test_sweep_axis_and_normalization(self):
         point = make_point("half", "full", verify=True, verify_max_states=7)
