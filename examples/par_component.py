@@ -44,7 +44,7 @@ def main() -> None:
     search = reduce_concurrency(sg, keep_conc=PAR_KEEP_CONC,
                                 max_explored=4000, patience=10**9)
     auto = run_pipeline(AS_IS, initial_sg=search.best, name="automatic")
-    print(f"exploration     : {search.explored_count} SGs seen, "
+    print(f"exploration     : {search.stats.explored} SGs seen, "
           f"best cost {search.best_cost:.1f}")
     print(f"automatic design: area={auto.area()}, equations:")
     for equation in sorted(auto.circuit().equations.values()):

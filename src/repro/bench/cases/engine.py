@@ -138,8 +138,8 @@ def run_engine_scaling(context) -> dict:
             if generate_seconds else 0.0,
             "explore_seconds": explore_seconds,
             "explore_seconds_caches_off": explore_seconds_off,
-            "explored": result.explored_count,
-            "explored_per_second": result.explored_count / explore_seconds
+            "explored": result.stats.explored,
+            "explored_per_second": result.stats.explored / explore_seconds
             if explore_seconds else 0.0,
             "best_cost": result.best_cost,
         })

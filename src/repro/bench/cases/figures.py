@@ -397,7 +397,7 @@ def run_fig10(context) -> dict:
     manual_cycle, auto_cycle = gate_cycle(manual), gate_cycle(auto)
     return {
         "expansion_states": len(sg),
-        "explored": search.explored_count,
+        "explored": search.stats.explored,
         "auto_area": auto.area(),
         "manual_area": manual.area(),
         "auto_csc_signals": len(auto.insertions()),

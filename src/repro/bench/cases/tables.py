@@ -262,11 +262,11 @@ def run_ablation(context) -> dict:
     seconds, results = context.best_of(sweep)
     beams = [results[f"beam w={w}"].best_cost for w in (1, 2, 4, 8)]
     return {
-        "rows": [(name, f"{r.best_cost:.2f}", r.explored_count,
+        "rows": [(name, f"{r.best_cost:.2f}", r.stats.explored,
                   len(csc_conflicts(r.best)))
                  for name, r in results.items()],
         "best_cost_best_first": results["best-first"].best_cost,
-        "explored_best_first": results["best-first"].explored_count,
+        "explored_best_first": results["best-first"].stats.explored,
         "conflicts_w0": len(csc_conflicts(results["W=0.0"].best)),
         "sweep_seconds": seconds,
         "beam_costs": beams,

@@ -65,9 +65,10 @@ import sys
 from typing import List, Optional
 
 from .encoding.csc import irresolvable_conflicts
+from .hse.constraints import KeepConcError
 from .petri.parser import read_stg, write_stg
-from .pipeline import STRATEGIES, ArtifactStore, FlowConfig, run_pipeline
-from .reduction.explore import full_reduction, reduce_concurrency
+from .pipeline import (STRATEGIES, ArtifactStore, FlowConfig, run_pipeline,
+                       run_reduction)
 from .sg.generator import generate_sg
 from .sg.properties import check_implementability
 from .sg.resynthesis import ResynthesisError, resynthesise_stg
@@ -221,15 +222,20 @@ def cmd_sg(args: argparse.Namespace) -> int:
     return 0
 
 
+def _strategy(args: argparse.Namespace) -> str:
+    """The reduction strategy ``--no-reduce``/``--full`` select."""
+    if args.no_reduce:
+        return "none"
+    return "full" if args.full else "best-first"
+
+
 def _reduced_sg(args: argparse.Namespace):
     sg = generate_sg(_read_spec(args.spec))
-    keep = _parse_keep(getattr(args, "keep", None))
-    if getattr(args, "no_reduce", False):
-        return sg, sg
-    if getattr(args, "full", False):
-        return sg, full_reduction(sg, keep_conc=keep)
-    result = reduce_concurrency(sg, keep_conc=keep, weight=args.weight)
-    return sg, result.best
+    config = FlowConfig.create(strategy=_strategy(args),
+                               keep_conc=_parse_keep(args.keep),
+                               weight=args.weight)
+    reduced, _, _ = run_reduction(config, sg)
+    return sg, reduced
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -238,12 +244,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
     internal = (args.output_delay if args.internal_delay is None
                 else args.internal_delay)
     delays = DelayModel.by_kind(args.input_delay, args.output_delay, internal)
-    if args.no_reduce:
-        strategy = "none"
-    elif args.full:
-        strategy = "full"
-    else:
-        strategy = "best-first"
     store = ArtifactStore(args.store) if args.store else None
     stg = _read_spec(args.spec)
     # --engine symbolic = symbolic coding pre-flight, explicit synthesis
@@ -254,7 +254,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         _print_coding(check_coding(stg, engine="symbolic"))
     sg_engine = args.engine if args.engine in ("packed", "tuples") else "auto"
     config = FlowConfig.create(
-        strategy=strategy, keep_conc=_parse_keep(getattr(args, "keep", None)),
+        strategy=_strategy(args), keep_conc=_parse_keep(args.keep),
         weight=args.weight, delays=delays, max_csc_signals=args.max_csc,
         sg_max_states=args.sg_max_states, sg_max_arcs=args.sg_max_arcs,
         sg_engine=sg_engine)
@@ -343,9 +343,6 @@ def _load_spec_sg(spec: str):
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from .verify import verify_netlist
-    from .verify.certificate import skipped_report
-
     strategies = _parse_csv(args.strategies) or list(STRATEGIES)
     unknown = sorted(set(strategies) - set(STRATEGIES))
     if unknown:
@@ -364,20 +361,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
             # certificate.
             config = FlowConfig.create(strategy=strategy, keep_conc=keep,
                                        weight=args.weight,
-                                       max_csc_signals=args.max_csc)
-            implementation = run_pipeline(config, initial_sg=initial_sg,
-                                          name=label, store=store)
-            circuit = implementation.circuit()
-            if circuit is None:
-                report = skipped_report(
-                    label, "no synthesized circuit (unresolved CSC or "
-                    "toggle specification)", model=args.model)
-                cached = False
-            else:
-                report, cached = verify_netlist(
-                    circuit.netlist,
-                    implementation.resolved_sg(), model=args.model,
-                    max_states=args.max_states, name=label, store=store)
+                                       max_csc_signals=args.max_csc,
+                                       verify=True, verify_model=args.model,
+                                       verify_max_states=args.max_states)
+            result = run_pipeline(config, initial_sg=initial_sg,
+                                  name=label, store=store)
+            report = result.verification()
+            cached = result.stage_status()["verify"] == "cached"
             reports.append(report)
             if report.skipped:
                 skips += 1
@@ -440,6 +430,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_cache(args: argparse.Namespace) -> int:
     from . import engine
+    from .sweep import runner  # noqa: F401 -- registers its memo table too
 
     # Inspection/maintenance must not conjure stores out of typos
     # (ArtifactStore.__init__ creates its directory).
@@ -992,6 +983,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
     args = build_parser().parse_args(argv)
     _setup_observability(args)
+    try:
+        return _run_command(args, argv)
+    except KeepConcError as exc:  # a --keep item that names no event
+        raise SystemExit(str(exc))
+
+
+def _run_command(args: argparse.Namespace, argv: List[str]) -> int:
     trace_path = getattr(args, "trace", None)
     if trace_path is None:
         return args.func(args)

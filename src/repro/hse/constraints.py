@@ -10,7 +10,7 @@ pairs of events whose concurrency the reduction must not destroy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, List, Set, Tuple
 
 from ..petri.stg import STG, SignalEvent
 from ..sg.graph import StateGraph
@@ -71,6 +71,10 @@ def apply_interface_constraint(stg: STG, constraint: InterfaceConstraint) -> Non
 NormalisedPair = FrozenSet[str]
 
 
+class KeepConcError(ValueError):
+    """A ``Keep_Conc`` item that names no event of the state graph."""
+
+
 def normalise_keep_conc(sg: StateGraph,
                         pairs: Iterable[Tuple[str, str]]) -> Set[NormalisedPair]:
     """Expand ``Keep_Conc`` pairs into label pairs of the SG.
@@ -89,7 +93,7 @@ def normalise_keep_conc(sg: StateGraph,
         by_signal = sg.labels_of_signal(item)
         if by_signal:
             return by_signal
-        raise ValueError(f"Keep_Conc item {item!r} matches no event of {sg.name!r}")
+        raise KeepConcError(f"Keep_Conc item {item!r} matches no event of {sg.name!r}")
 
     result: Set[NormalisedPair] = set()
     for first, second in pairs:

@@ -22,9 +22,8 @@ in the exploration sharing a signal's (ON, DC) sets hit the cache.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
-from .. import engine
 from ..sg.graph import StateGraph
 from .functions import extract_all_functions
 from .minimize import fast_literal_count
@@ -46,42 +45,23 @@ class ComplexityEstimate:
         return self.literals + CSC_CODE_PENALTY * self.csc_conflict_codes
 
 
-#: Memo for per-function QM literal counts (the fast path memoizes inside
-#: the minimizer itself); reductions of unrelated events often leave a
-#: signal's (ON, DC) pair untouched, so hits are common.
-_LITERAL_CACHE: Dict[tuple, int] = engine.register_cache({}, name="logic-literal-count")
-
-
-def _cached_literals(function, fast: bool) -> int:
-    on_ints, dc_ints = function.resolved_ints("on")
-    if fast:
-        return fast_literal_count(function.num_vars, on_ints, dc_ints)
-    key = (function.num_vars, on_ints, dc_ints)
-    cached = _LITERAL_CACHE.get(key) if engine.packed_memo_enabled() else None
-    if cached is None:
-        cached = function.minimized(conflict_policy="on", fast=False).literal_count
-        if engine.packed_memo_enabled():
-            if len(_LITERAL_CACHE) > 100_000:
-                _LITERAL_CACHE.clear()
-            _LITERAL_CACHE[key] = cached
-    return cached
-
-
-def estimate_logic_complexity(sg: StateGraph, exact: bool = False,
-                              fast: bool = True) -> ComplexityEstimate:
+def estimate_logic_complexity(sg: StateGraph,
+                              exact: bool = False) -> ComplexityEstimate:
     """Estimate implementation complexity of every non-input signal.
 
-    ``fast=True`` (the default) uses the heuristic expand-and-cover
-    minimizer; pass ``fast=False, exact=True`` for QM-quality counts.
+    The default counts literals with the heuristic expand-and-cover
+    minimizer; ``exact=True`` gives QM-quality counts.
     """
     per_signal: Dict[str, int] = {}
     conflict_codes = 0
     for signal, function in extract_all_functions(sg).items():
-        if fast and not exact:
-            per_signal[signal] = _cached_literals(function, fast=True)
-        else:
-            cover = function.minimized(exact=exact, conflict_policy="on")
+        if exact:
+            cover = function.minimized(exact=True, conflict_policy="on")
             per_signal[signal] = cover.literal_count
+        else:
+            on_ints, dc_ints = function.resolved_ints("on")
+            per_signal[signal] = fast_literal_count(function.num_vars,
+                                                    on_ints, dc_ints)
         conflict_codes += len(function.conflict_ints)
     return ComplexityEstimate(
         literals=sum(per_signal.values()),

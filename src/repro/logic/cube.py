@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 DC = 2  # "don't care" position value
 
@@ -99,12 +99,6 @@ class Cube:
         current = self.values[var]
         if current != DC and current != value:
             return None
-        values = list(self.values)
-        values[var] = DC
-        return Cube(tuple(values))
-
-    def expand_var(self, var: int) -> "Cube":
-        """Raise (remove the literal of) one variable."""
         values = list(self.values)
         values[var] = DC
         return Cube(tuple(values))

@@ -21,8 +21,8 @@ every transition per reachable marking.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 
 class PetriNetError(Exception):
@@ -309,12 +309,6 @@ class PetriNet:
         """The label attached to ``transition``."""
         return self.transition(transition).label
 
-    def relabel_transition(self, name: str, label: object) -> None:
-        """Replace the label of an existing transition."""
-        if name not in self._transitions:
-            raise PetriNetError(f"unknown transition {name!r}")
-        self._transitions[name] = Transition(name, label)
-
     def rename_transition(self, old: str, new: str, label: object = None) -> None:
         """Rename a transition, preserving connectivity.
 
@@ -590,17 +584,6 @@ class PackedNet:
     producers: Tuple[int, ...]
 
     # -- single markings ------------------------------------------------
-    def pack(self, marking: Marking) -> int:
-        """Pack a tuple marking; raises on token counts above one."""
-        packed = 0
-        for i, tokens in enumerate(marking):
-            if tokens > 1:
-                raise PackedOverflowError(
-                    f"place {self.place_names[i]!r} holds {tokens} tokens")
-            if tokens:
-                packed |= 1 << i
-        return packed
-
     def unpack(self, packed: int) -> Marking:
         """Expand a packed marking back into the tuple form."""
         return tuple((packed >> i) & 1 for i in range(len(self.place_names)))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional
 
 from .net import PetriNet, PetriNetError
 
@@ -24,11 +24,6 @@ class SignalKind(Enum):
     OUTPUT = "output"
     INTERNAL = "internal"
     DUMMY = "dummy"
-
-    @property
-    def is_observable(self) -> bool:
-        """Inputs and outputs are observable; internal signals are not."""
-        return self in (SignalKind.INPUT, SignalKind.OUTPUT)
 
 
 class Direction(Enum):

@@ -8,8 +8,8 @@ and the CLI all construct one of these and hand it to
 :func:`~repro.pipeline.stages.run_pipeline`, so the knobs cannot drift
 apart.
 
-The per-strategy exploration defaults live here too
-(:data:`STRATEGY_DEFAULTS`), resolved through
+The per-strategy exploration defaults (:data:`STRATEGY_DEFAULTS`, the
+reduction search's own table, re-exported here) resolve through
 :meth:`FlowConfig.effective_frontier` / :meth:`effective_max_explored`.
 
 A config serializes to deterministic JSON (:meth:`to_json` /
@@ -29,6 +29,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, Optional, Tuple
 
 from ..circuit.library import DEFAULT_LIBRARY, Library
+from ..reduction.explore import STRATEGY_DEFAULTS
 from ..timing.delays import TABLE1_DELAYS, DelayModel
 from .hashing import digest_payload, fraction_text
 
@@ -45,15 +46,6 @@ KeepPairs = Tuple[Tuple[str, str], ...]
 #: concurrency, ``beam``/``best-first`` run the Fig. 9 search, ``full``
 #: drives concurrency as low as validity allows.
 STRATEGIES = ("none", "beam", "best-first", "full")
-
-#: Per-strategy ``(size_frontier, max_explored)`` defaults -- the numbers
-#: the paper's searches use (4/10k) and the exhaustive variant (6/20k).
-STRATEGY_DEFAULTS: Dict[str, Tuple[Optional[int], Optional[int]]] = {
-    "none": (None, None),
-    "beam": (4, 10_000),
-    "best-first": (4, 10_000),
-    "full": (6, 20_000),
-}
 
 #: Default cap on explored product states during verification (mirrors
 #: :data:`repro.verify.conformance.DEFAULT_MAX_STATES` without importing
@@ -248,7 +240,7 @@ class FlowConfig:
         return dataclasses.replace(self, **changes)
 
     # ------------------------------------------------------------------
-    # per-strategy defaults (the single home)
+    # per-strategy defaults (the reduction search's table)
     # ------------------------------------------------------------------
     def effective_frontier(self) -> Optional[int]:
         """The beam width actually used by this strategy."""

@@ -69,13 +69,6 @@ _DECODED_SG: Dict[str, StateGraph] = engine.register_cache(
     {}, name="pipeline-decoded-sg")
 _DECODED_SG_LIMIT = 512
 
-#: Encode memo for pre-generated state graphs handed to the pipeline
-#: (sweep workers cache one SG per spec): graph -> payload.  Taking an
-#: entry freezes the graph, so an entry can never go stale.
-_SG_PAYLOAD_MEMO: "weakref.WeakKeyDictionary[StateGraph, Dict]" \
-    = engine.register_cache(weakref.WeakKeyDictionary(),
-                            name="pipeline-sg-payload")
-
 #: Digest memo for pre-generated state graphs: graph -> digest.
 _GRAPH_DIGEST_MEMO: "weakref.WeakKeyDictionary[StateGraph, str]" \
     = engine.register_cache(weakref.WeakKeyDictionary(),
@@ -84,14 +77,6 @@ _GRAPH_DIGEST_MEMO: "weakref.WeakKeyDictionary[StateGraph, str]" \
 
 class PipelineError(Exception):
     """Raised when the pipeline cannot be driven from the given inputs."""
-
-
-def _cached_sg_payload(sg: StateGraph) -> Dict[str, object]:
-    payload = _SG_PAYLOAD_MEMO.get(sg)
-    if payload is None:
-        payload = sg_to_payload(sg.freeze())
-        _SG_PAYLOAD_MEMO[sg] = payload
-    return payload
 
 
 def cached_graph_digest(sg: StateGraph) -> str:
@@ -135,7 +120,7 @@ class ReductionSummary:
     strategy: str
     initial_cost: Optional[float]
     best_cost: Optional[float]
-    stats: Optional[ExplorationStats]
+    stats: ExplorationStats
 
     @property
     def improved(self) -> bool:
@@ -149,24 +134,20 @@ def run_reduction(config: FlowConfig, sg: StateGraph
                              Optional[ExplorationStats]]:
     """Apply the configured reduction strategy to a live state graph.
 
-    The pipeline's reduce stage; per-strategy frontier/budget defaults
-    come from :data:`repro.pipeline.config.STRATEGY_DEFAULTS`.
+    The pipeline's reduce stage and ``repro reduce``; per-strategy
+    frontier/budget defaults come from
+    :data:`repro.reduction.explore.STRATEGY_DEFAULTS`.
     """
     if config.strategy == "none":
         return sg, None, None
+    options = dict(keep_conc=config.keep_conc,
+                   size_frontier=config.effective_frontier(),
+                   weight=config.weight,
+                   max_explored=config.effective_max_explored())
     if config.strategy == "full":
-        chosen, stats = full_reduction_with_stats(
-            sg, keep_conc=config.keep_conc,
-            size_frontier=config.effective_frontier(),
-            weight=config.weight,
-            max_explored=config.effective_max_explored())
+        chosen, stats = full_reduction_with_stats(sg, **options)
         return chosen, None, stats
-    exploration = reduce_concurrency(
-        sg, keep_conc=config.keep_conc,
-        size_frontier=config.effective_frontier(),
-        weight=config.weight,
-        max_explored=config.effective_max_explored(),
-        strategy=config.strategy)
+    exploration = reduce_concurrency(sg, strategy=config.strategy, **options)
     return exploration.best, exploration, exploration.stats
 
 
@@ -420,7 +401,7 @@ def _run_stages(config: FlowConfig,
         results["generate"] = _execute(
             store, "generate", generate_slice,
             lambda: [cached_graph_digest(sg_given)],
-            lambda: (_cached_sg_payload(sg_given), None))
+            lambda: (sg_to_payload(sg_given.freeze()), None))
     elif stg_text is not None:
         text = stg_text
 

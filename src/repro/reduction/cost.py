@@ -10,8 +10,8 @@ step would dominate the run time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Tuple
 
 from .. import engine
 from ..logic.complexity import estimate_logic_complexity
@@ -38,24 +38,22 @@ class CostBreakdown:
         return logic_term + csc_term + 1e-3 * self.state_count
 
 
-#: Weight-independent cost terms keyed by (arc signature, exact_covers):
-#: (literal estimate, CSC conflict pairs, state count).  Shared globally so
-#: sweeps over ``W`` or the frontier width re-measure nothing.
-_TERM_MEMO: Dict[Tuple[FrozenSet, bool], Tuple[int, int, int]] = (
+#: Weight-independent cost terms keyed by arc signature: (literal
+#: estimate, CSC conflict pairs, state count).  Shared globally so sweeps
+#: over ``W`` or the frontier width re-measure nothing.
+_TERM_MEMO: Dict[FrozenSet, Tuple[int, int, int]] = (
     engine.register_cache({}, name="reduction-cost"))
 
 
-def _measured_terms(sg: StateGraph, signature: FrozenSet,
-                    exact_covers: bool) -> Tuple[int, int, int]:
-    key = (signature, exact_covers)
-    cached = _TERM_MEMO.get(key) if engine.packed_memo_enabled() else None
+def _measured_terms(sg: StateGraph, signature: FrozenSet) -> Tuple[int, int, int]:
+    cached = _TERM_MEMO.get(signature) if engine.packed_memo_enabled() else None
     if cached is None:
-        estimate = estimate_logic_complexity(sg, exact=exact_covers)
+        estimate = estimate_logic_complexity(sg)
         cached = (estimate.literals, len(csc_conflicts(sg)), len(sg))
         if engine.packed_memo_enabled():
             if len(_TERM_MEMO) > 100_000:
                 _TERM_MEMO.clear()
-            _TERM_MEMO[key] = cached
+            _TERM_MEMO[signature] = cached
     return cached
 
 
@@ -67,13 +65,11 @@ class CostFunction:
     (beam survivors, heap re-pops) cost one dict lookup.
     """
 
-    def __init__(self, weight: float = 0.5, csc_scale: float = 20.0,
-                 exact_covers: bool = False) -> None:
+    def __init__(self, weight: float = 0.5, csc_scale: float = 20.0) -> None:
         if not 0.0 <= weight <= 1.0:
             raise ValueError("weight W must lie in [0, 1]")
         self.weight = weight
         self.csc_scale = csc_scale
-        self.exact_covers = exact_covers
         self._cache: Dict[frozenset, CostBreakdown] = {}
 
     def breakdown(self, sg: StateGraph) -> CostBreakdown:
@@ -81,8 +77,7 @@ class CostFunction:
         cached = self._cache.get(signature)
         if cached is not None:
             return cached
-        literals, conflict_pairs, states = _measured_terms(
-            sg, signature, self.exact_covers)
+        literals, conflict_pairs, states = _measured_terms(sg, signature)
         result = CostBreakdown(
             logic_literals=literals,
             csc_conflict_pairs=conflict_pairs,

@@ -7,6 +7,10 @@ step strictly reduces concurrency, the search terminates when no reduction
 applies.  The best SG over *everything explored* (including the input) is
 returned -- reduction is an optimization, not an obligation.
 
+Every strategy runs one expansion step (:meth:`_Search.expand`) and keeps
+only its frontier policy: the beam level, the best-first heap, or the full
+reduction's terminal rule.  Their defaults are :data:`STRATEGY_DEFAULTS`.
+
 Accounting is strategy-independent: every strategy fills in the same
 :class:`ExplorationStats`, where ``explored`` always means the number of
 *distinct* configurations whose cost was evaluated (the input included) and
@@ -20,15 +24,28 @@ silently), so a single wide level cannot blow past it.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
-from ..explore import BudgetMeter, ExplorationBudget
+from ..explore import ExplorationBudget
 from ..hse.constraints import normalise_keep_conc
 from ..sg.graph import StateGraph
 from ..sg.regions import are_concurrent
 from .cost import CostFunction
 from .fwdred import forward_reduction, reducible_pairs
+
+#: Per-strategy ``(size_frontier, max_explored)`` defaults -- the numbers
+#: the paper's searches use (4/10k) and the exhaustive variant (6/20k).
+#: :data:`repro.pipeline.config.STRATEGY_DEFAULTS` is this table.
+STRATEGY_DEFAULTS: Dict[str, Tuple[Optional[int], Optional[int]]] = {
+    "none": (None, None),
+    "beam": (4, 10_000),
+    "best-first": (4, 10_000),
+    "full": (6, 20_000),
+}
+_SEARCH_FRONTIER, _SEARCH_EXPLORED = STRATEGY_DEFAULTS["beam"]
+_FULL_FRONTIER, _FULL_EXPLORED = STRATEGY_DEFAULTS["full"]
 
 
 def _keeps_concurrency(sg: StateGraph,
@@ -86,32 +103,99 @@ class ExplorationResult:
     best: StateGraph
     best_cost: float
     initial_cost: float
-    explored_count: int
-    levels: int
+    stats: ExplorationStats
     history: List[ExplorationStep] = field(default_factory=list)
-    stats: Optional[ExplorationStats] = None
 
     @property
     def improved(self) -> bool:
         return self.best_cost < self.initial_cost
 
 
-def _signature(sg: StateGraph) -> tuple:
-    return sg.signature()
+class _Search:
+    """The state one search shares across its expansions.
 
+    ``seen`` holds the signature of every distinct configuration the
+    search generated, the input included: ``max_explored`` budgets
+    distinct configurations, not generation events.  Only ``expanded``
+    configurations are closed; a candidate pruned from one beam level may
+    be regenerated along a better path later.
+    """
 
-def _explored_meter(max_explored: Optional[int]) -> BudgetMeter:
-    """The shared budget meter capping distinct cost evaluations."""
-    return ExplorationBudget(max_states=max_explored).meter()
+    def __init__(self, sg: StateGraph, keep_conc: Iterable[Tuple[str, str]],
+                 max_explored: Optional[int]) -> None:
+        self.preserved: FrozenSet[FrozenSet[str]] = frozenset(
+            normalise_keep_conc(sg, keep_conc))
+        self.seen = {sg.signature()}
+        self.expanded: set = set()
+        self.meter = ExplorationBudget(max_states=max_explored).meter()
+        self.capped = False
+
+    def expand(self, current: StateGraph) -> Optional[List[tuple]]:
+        """The valid FwdRed children of ``current`` (Sections 5-6), as
+        ``(before, delayed, child, child signature)``; ``None`` when
+        ``current`` was already expanded.  The budget is checked before
+        each candidate; when it runs out, ``capped`` is set and the
+        children found so far are returned."""
+        signature = current.signature()
+        if signature in self.expanded:
+            return None
+        self.expanded.add(signature)
+        children: List[tuple] = []
+        for before, delayed in sorted(reducible_pairs(current, self.preserved)):
+            if self.meter.states_exhausted(len(self.seen)):
+                self.capped = True
+                break
+            result = forward_reduction(current, delayed, before)
+            if not result.valid:
+                continue
+            if self.preserved and not _keeps_concurrency(result.sg,
+                                                         self.preserved):
+                continue
+            child_signature = result.sg.signature()
+            self.seen.add(child_signature)
+            children.append((before, delayed, result.sg, child_signature))
+        return children
+
+    def beam_levels(self, sg: StateGraph, cost: CostFunction,
+                    size_frontier: int
+                    ) -> Iterator[Tuple[List[tuple], List[StateGraph]]]:
+        """Fig. 9's beam, one level per item: the ``size_frontier``
+        cheapest new children as ``(cost, child, before, delayed)``, and
+        the frontier configurations with no valid child (the terminals)."""
+        frontier = [sg]
+        while frontier and not self.capped:
+            candidates: Dict[tuple, tuple] = {}
+            terminals: List[StateGraph] = []
+            for current in frontier:
+                children = self.expand(current)
+                if children is None:
+                    continue
+                for before, delayed, child, signature in children:
+                    if signature not in self.expanded \
+                            and signature not in candidates:
+                        candidates[signature] = (cost(child), child,
+                                                 before, delayed)
+                if self.capped:
+                    break
+                if not children:
+                    terminals.append(current)
+            survivors = sorted(candidates.values(),
+                               key=lambda item: item[0])[:size_frontier]
+            yield survivors, terminals
+            frontier = [child for _, child, _, _ in survivors]
+
+    def stats(self, strategy: str, levels: int) -> ExplorationStats:
+        return ExplorationStats(strategy=strategy, explored=len(self.seen),
+                                expanded=len(self.expanded), levels=levels,
+                                capped=self.capped)
 
 
 def reduce_concurrency(sg: StateGraph,
                        keep_conc: Iterable[Tuple[str, str]] = (),
-                       size_frontier: int = 4,
+                       size_frontier: int = _SEARCH_FRONTIER,
                        weight: float = 0.5,
                        cost_function: Optional[CostFunction] = None,
-                       max_levels: Optional[int] = None,
-                       max_explored: int = 10_000,
+                       max_explored: int = _SEARCH_EXPLORED,
                        strategy: str = "best-first",
                        patience: int = 150) -> ExplorationResult:
     """Search over valid forward reductions.
@@ -138,65 +222,22 @@ def reduce_concurrency(sg: StateGraph,
     if size_frontier < 1:
         raise ValueError("size_frontier must be at least 1")
     cost = cost_function or CostFunction(weight=weight)
-    preserved: FrozenSet[FrozenSet[str]] = frozenset(normalise_keep_conc(sg, keep_conc))
-
+    search = _Search(sg, keep_conc, max_explored)
     initial_cost = cost(sg)
-    # Only *expanded* configurations are closed; a candidate pruned from one
-    # level's frontier may be regenerated along a better path later.  The
-    # ``seen`` set exists purely for accounting: ``max_explored`` budgets
-    # distinct cost evaluations, not generation events.
-    seen: Set[tuple] = {_signature(sg)}
-    meter = _explored_meter(max_explored)
-    expanded: Set[tuple] = set()
-    capped = False
     best, best_cost = sg, initial_cost
-    frontier: List[StateGraph] = [sg]
     history: List[ExplorationStep] = []
     level = 0
-
-    while frontier and not capped and (max_levels is None or level < max_levels):
-        level += 1
-        candidates: Dict[tuple, Tuple[float, StateGraph, str, str]] = {}
-        for current in frontier:
-            signature = _signature(current)
-            if signature in expanded:
-                continue
-            expanded.add(signature)
-            for before, delayed in sorted(reducible_pairs(current, preserved)):
-                if meter.states_exhausted(len(seen)):
-                    capped = True
-                    break
-                result = forward_reduction(current, delayed, before)
-                if not result.valid:
-                    continue
-                if preserved and not _keeps_concurrency(result.sg, preserved):
-                    continue
-                child_signature = _signature(result.sg)
-                seen.add(child_signature)
-                if child_signature in expanded or child_signature in candidates:
-                    continue
-                candidates[child_signature] = (cost(result.sg), result.sg,
-                                               before, delayed)
-            if capped:
-                break
-        if not candidates:
-            break
-        survivors = sorted(candidates.values(), key=lambda item: item[0])
-        survivors = survivors[:size_frontier]
+    for level, (survivors, _) in enumerate(
+            search.beam_levels(sg, cost, size_frontier), start=1):
         for value, candidate, before, delayed in survivors:
             if value < best_cost:
                 best, best_cost = candidate, value
                 history.append(ExplorationStep(level, before, delayed, value,
                                                len(candidate)))
-        frontier = [candidate for _, candidate, _, _ in survivors]
-
-    stats = ExplorationStats(strategy="beam", explored=len(seen),
-                             expanded=len(expanded), levels=level,
-                             capped=capped)
     return ExplorationResult(best=best, best_cost=best_cost,
                              initial_cost=initial_cost,
-                             explored_count=stats.explored,
-                             levels=level, history=history, stats=stats)
+                             stats=search.stats("beam", level),
+                             history=history)
 
 
 def _best_first(sg: StateGraph,
@@ -206,125 +247,70 @@ def _best_first(sg: StateGraph,
                 max_explored: int,
                 patience: int) -> ExplorationResult:
     """Priority-queue exploration: always expand the cheapest known SG."""
-    import heapq
-
     cost = cost_function or CostFunction(weight=weight)
-    preserved: FrozenSet[FrozenSet[str]] = frozenset(normalise_keep_conc(sg, keep_conc))
+    search = _Search(sg, keep_conc, max_explored)
     initial_cost = cost(sg)
     best, best_cost = sg, initial_cost
     counter = 0
     heap: List[Tuple[float, int, StateGraph]] = [(initial_cost, counter, sg)]
-    seen: Set[tuple] = {_signature(sg)}
-    meter = _explored_meter(max_explored)
-    expanded: Set[tuple] = set()
-    capped = False
     history: List[ExplorationStep] = []
     stale = 0
 
-    while heap and not capped and stale < patience:
-        value, _, current = heapq.heappop(heap)
-        signature = _signature(current)
-        if signature in expanded:
+    while heap and not search.capped and stale < patience:
+        _, _, current = heapq.heappop(heap)
+        children = search.expand(current)
+        if children is None:
             continue
-        expanded.add(signature)
         improved = False
-        for before, delayed in sorted(reducible_pairs(current, preserved)):
-            if meter.states_exhausted(len(seen)):
-                capped = True
-                break
-            result = forward_reduction(current, delayed, before)
-            if not result.valid:
+        for before, delayed, child, signature in children:
+            if signature in search.expanded:
                 continue
-            if preserved and not _keeps_concurrency(result.sg, preserved):
-                continue
-            child_signature = _signature(result.sg)
-            if child_signature in expanded:
-                continue
-            seen.add(child_signature)
-            child_cost = cost(result.sg)
+            child_cost = cost(child)
             counter += 1
-            heapq.heappush(heap, (child_cost, counter, result.sg))
+            heapq.heappush(heap, (child_cost, counter, child))
             if child_cost < best_cost:
-                best, best_cost = result.sg, child_cost
+                best, best_cost = child, child_cost
                 improved = True
-                history.append(ExplorationStep(len(expanded), before, delayed,
-                                               child_cost, len(result.sg)))
+                history.append(ExplorationStep(len(search.expanded), before,
+                                               delayed, child_cost,
+                                               len(child)))
         stale = 0 if improved else stale + 1
 
-    stats = ExplorationStats(strategy="best-first", explored=len(seen),
-                             expanded=len(expanded), levels=len(expanded),
-                             capped=capped)
-    return ExplorationResult(best=best, best_cost=best_cost,
-                             initial_cost=initial_cost,
-                             explored_count=stats.explored,
-                             levels=len(expanded), history=history,
-                             stats=stats)
+    return ExplorationResult(
+        best=best, best_cost=best_cost, initial_cost=initial_cost,
+        stats=search.stats("best-first", len(search.expanded)),
+        history=history)
 
 
 def full_reduction_with_stats(sg: StateGraph,
                               keep_conc: Iterable[Tuple[str, str]] = (),
-                              size_frontier: int = 6,
+                              size_frontier: int = _FULL_FRONTIER,
                               weight: float = 0.5,
                               cost_function: Optional[CostFunction] = None,
-                              max_explored: int = 20_000,
+                              max_explored: int = _FULL_EXPLORED,
                               ) -> Tuple[StateGraph, ExplorationStats]:
     """:func:`full_reduction` plus the unified exploration accounting."""
     cost = cost_function or CostFunction(weight=weight)
-    preserved = frozenset(normalise_keep_conc(sg, keep_conc))
-    seen: Set[tuple] = {_signature(sg)}
-    meter = _explored_meter(max_explored)
-    expanded: Set[tuple] = set()
-    capped = False
-    frontier: List[StateGraph] = [sg]
+    search = _Search(sg, keep_conc, max_explored)
     best_terminal: Optional[StateGraph] = None
     best_terminal_cost = float("inf")
     levels = 0
-
-    while frontier and not capped:
-        levels += 1
-        candidates: Dict[tuple, Tuple[float, StateGraph]] = {}
-        for current in frontier:
-            signature = _signature(current)
-            if signature in expanded:
-                continue
-            expanded.add(signature)
-            children = 0
-            for before, delayed in sorted(reducible_pairs(current, preserved)):
-                if meter.states_exhausted(len(seen)):
-                    capped = True
-                    break
-                result = forward_reduction(current, delayed, before)
-                if not result.valid:
-                    continue
-                if preserved and not _keeps_concurrency(result.sg, preserved):
-                    continue
-                children += 1
-                child_signature = _signature(result.sg)
-                seen.add(child_signature)
-                if child_signature in expanded or child_signature in candidates:
-                    continue
-                candidates[child_signature] = (cost(result.sg), result.sg)
-            if capped:
-                break
-            if children == 0:
-                value = cost(current)
-                if value < best_terminal_cost:
-                    best_terminal, best_terminal_cost = current, value
-        survivors = sorted(candidates.values(), key=lambda item: item[0])
-        frontier = [candidate for _, candidate in survivors[:size_frontier]]
-
-    stats = ExplorationStats(strategy="full", explored=len(seen),
-                             expanded=len(expanded), levels=levels,
-                             capped=capped)
-    return (best_terminal if best_terminal is not None else sg), stats
+    for levels, (_, terminals) in enumerate(
+            search.beam_levels(sg, cost, size_frontier), start=1):
+        for terminal in terminals:
+            value = cost(terminal)
+            if value < best_terminal_cost:
+                best_terminal, best_terminal_cost = terminal, value
+    return ((best_terminal if best_terminal is not None else sg),
+            search.stats("full", levels))
 
 
 def full_reduction(sg: StateGraph,
                    keep_conc: Iterable[Tuple[str, str]] = (),
-                   size_frontier: int = 6,
+                   size_frontier: int = _FULL_FRONTIER,
                    weight: float = 0.5,
                    cost_function: Optional[CostFunction] = None,
-                   max_explored: int = 20_000) -> StateGraph:
+                   max_explored: int = _FULL_EXPLORED) -> StateGraph:
     """Reduce until no valid reduction remains; best terminal wins.
 
     Unlike :func:`reduce_concurrency` (which may stop anywhere), this drives

@@ -19,10 +19,9 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional, Set, Tuple
 
 from .. import engine
-from ..petri.stg import SignalKind
-from ..sg.graph import State, StateGraph, StateGraphError
+from ..sg.graph import StateGraph
 from ..sg.regions import excitation_region
-from .validity import ValidityReport, validate_removal
+from .validity import validate_removal
 
 
 class ReductionError(Exception):
@@ -52,8 +51,8 @@ _REDUCTION_MEMO: Dict[tuple, ReductionResult] = (
     engine.register_cache({}, name="reduction-results"))
 
 
-def forward_reduction(sg: StateGraph, delayed: str, before: str,
-                      validate: bool = True) -> ReductionResult:
+def forward_reduction(sg: StateGraph, delayed: str,
+                      before: str) -> ReductionResult:
     """Apply ``FwdRed(delayed, before)``: make ``delayed`` wait for ``before``.
 
     ``delayed`` must be a non-input event (inputs cannot be delayed by the
@@ -61,22 +60,21 @@ def forward_reduction(sg: StateGraph, delayed: str, before: str,
     never raises -- when the events are not concurrent or the reduction
     violates validity, so the exploration loop can just skip it.
     """
-    if validate and engine.packed_memo_enabled():
-        key = (sg.name, sg.signature(), delayed, before)
-        result = _REDUCTION_MEMO.get(key)
-        if result is None:
-            result = _forward_reduction_uncached(sg, delayed, before, True)
-            # Valid entries keep their candidate SG alive, so the cap is
-            # much tighter than the pure-integer memos.
-            if len(_REDUCTION_MEMO) > 20_000:
-                _REDUCTION_MEMO.clear()
-            _REDUCTION_MEMO[key] = result
-        return result
-    return _forward_reduction_uncached(sg, delayed, before, validate)
+    if not engine.packed_memo_enabled():
+        return _reduce(sg, delayed, before)
+    key = (sg.name, sg.signature(), delayed, before)
+    result = _REDUCTION_MEMO.get(key)
+    if result is None:
+        result = _reduce(sg, delayed, before)
+        # Valid entries keep their candidate SG alive, so the cap is much
+        # tighter than the pure-integer memos.
+        if len(_REDUCTION_MEMO) > 20_000:
+            _REDUCTION_MEMO.clear()
+        _REDUCTION_MEMO[key] = result
+    return result
 
 
-def _forward_reduction_uncached(sg: StateGraph, delayed: str, before: str,
-                                validate: bool) -> ReductionResult:
+def _reduce(sg: StateGraph, delayed: str, before: str) -> ReductionResult:
     if delayed not in sg.events or before not in sg.events:
         raise ReductionError(f"unknown event: {delayed!r} or {before!r}")
     if delayed == before:
@@ -98,15 +96,11 @@ def _forward_reduction_uncached(sg: StateGraph, delayed: str, before: str,
         return ReductionResult(None, False,
                                f"reduction would remove every occurrence of {delayed}")
 
-    if validate:
-        report, reachable = validate_removal(sg, delayed, truncated)
-        if not report.valid:
-            return ReductionResult(None, False, "; ".join(report.reasons),
-                                   removed_arcs=len(truncated),
-                                   removed_states=len(sg) - len(reachable))
-    else:
-        reachable = None
-
+    report, reachable = validate_removal(sg, delayed, truncated)
+    if not report.valid:
+        return ReductionResult(None, False, "; ".join(report.reasons),
+                               removed_arcs=len(truncated),
+                               removed_states=len(sg) - len(reachable))
     reduced = sg.copy_without_arcs(((state, delayed) for state in truncated),
                                    name=sg.name, reachable=reachable)
     return ReductionResult(reduced, True, "",

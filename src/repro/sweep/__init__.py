@@ -17,15 +17,15 @@ grid order; see :mod:`repro.sweep.runner` for how.
 from .grid import (SweepGrid, SweepPoint, canonical_delays, keep_variants,
                    make_point, spec_registry, tables_grid)
 from .report import COLUMNS, FORMATS, render, to_csv, to_json, to_markdown
-from .runner import (SweepOutcome, evaluate_point, evaluate_with_status,
-                     make_chunks, run_sweep)
+from .runner import (SweepOutcome, evaluate_with_status, make_chunks,
+                     run_sweep)
 from .store import ArtifactStore, ResultStore, graph_digest
 
 __all__ = [
     "SweepGrid", "SweepPoint", "canonical_delays", "keep_variants",
     "make_point", "spec_registry", "tables_grid",
     "COLUMNS", "FORMATS", "render", "to_csv", "to_json", "to_markdown",
-    "SweepOutcome", "evaluate_point", "evaluate_with_status", "make_chunks",
+    "SweepOutcome", "evaluate_with_status", "make_chunks",
     "run_sweep",
     "ArtifactStore", "ResultStore", "graph_digest",
 ]

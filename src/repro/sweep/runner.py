@@ -33,8 +33,8 @@ from ..sg.graph import StateGraph
 from .grid import SweepGrid, SweepPoint, spec_registry
 from .store import ArtifactStore, ResultStore
 
-__all__ = ["SweepOutcome", "evaluate_point", "evaluate_with_status",
-           "make_chunks", "run_sweep"]
+__all__ = ["SweepOutcome", "evaluate_with_status", "make_chunks",
+           "run_sweep"]
 
 #: Worker-side cache: spec name -> generated state graph.  Module-global so
 #: it survives across chunks dispatched to the same worker process (and is
@@ -103,12 +103,6 @@ def evaluate_with_status(point: SweepPoint,
     row.update(summary_row(result))
     row["verify_max_states"] = point.verify_max_states
     return row, result.stage_status()
-
-
-def evaluate_point(point: SweepPoint) -> Dict[str, object]:
-    """Run one design point through the flow; returns a deterministic row."""
-    row, _ = evaluate_with_status(point, _worker_store())
-    return row
 
 
 def _run_chunk(chunk: List[Tuple[int, SweepPoint]]

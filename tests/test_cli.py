@@ -3,10 +3,16 @@
 import pytest
 
 from repro.cli import main
-from repro.petri.parser import read_stg, save_stg
+from repro.petri.parser import read_stg, save_stg, write_stg
+from repro.reduction.explore import full_reduction
 from repro.sg.generator import generate_sg
+from repro.sg.resynthesis import resynthesise_stg
 from repro.specs.fig1 import fig1_stg
 from repro.specs.lr import lr_expanded, q_module_stg
+from repro.specs.par import par_expanded
+
+#: The one-line error (no traceback) for a --keep item naming no event.
+UNKNOWN_KEEP = "Keep_Conc item 'li-' matches no event of 'par_4ph'"
 
 
 @pytest.fixture
@@ -67,6 +73,11 @@ class TestSynth:
     def test_bad_keep_rejected(self, lr_file):
         with pytest.raises(SystemExit):
             main(["synth", lr_file, "--keep", "li-"])
+
+    def test_unknown_keep_event_is_clean(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["synth", "par", "--keep", "li-,ri-"])
+        assert excinfo.value.code == UNKNOWN_KEEP
 
     def test_internal_delay_defaults_to_output_delay(self, lr_file, capsys):
         # --no-reduce leaves CSC conflicts, so internal state signals are
@@ -218,6 +229,21 @@ class TestReduce:
         assert main(["reduce", lr_file, "--full"]) == 0
         out = capsys.readouterr().out
         assert ".model" in out and ".end" in out
+
+    def test_full_honours_weight(self, capsys):
+        expected = write_stg(resynthesise_stg(
+            full_reduction(generate_sg(par_expanded()), weight=1.0)))
+        assert main(["reduce", "par", "--full", "-W", "1"]) == 0
+        logic_biased = capsys.readouterr().out
+        assert main(["reduce", "par", "--full", "-W", "0"]) == 0
+        csc_biased = capsys.readouterr().out
+        assert logic_biased == expected
+        assert logic_biased != csc_biased
+
+    def test_unknown_keep_event_is_clean(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["reduce", "par", "--keep", "li-,ri-"])
+        assert excinfo.value.code == UNKNOWN_KEEP
 
 
 class TestExplorationFlags:

@@ -9,6 +9,9 @@ signals and mapped netlists.
 import subprocess
 import sys
 
+from repro import FlowConfig, engine, run_pipeline
+from repro.sweep.grid import spec_registry
+
 _SCRIPT = """\
 from repro import FlowConfig, full_reduction, generate_sg, run_pipeline
 from repro.specs.lr import TABLE1_KEEP_CONC, lr_expanded
@@ -41,3 +44,29 @@ def test_table1_byte_identical_across_hash_seeds():
             check=True, env={"PYTHONPATH": "src", "PYTHONHASHSEED": seed})
         outputs.add(result.stdout)
     assert len(outputs) == 1
+
+
+
+def _stage_digests():
+    registry = spec_registry()
+    digests = {}
+    for spec in ("lr", "par", "vme_read"):
+        for strategy in ("beam", "best-first", "full"):
+            result = run_pipeline(FlowConfig(strategy=strategy),
+                                  stg=registry[spec](), name=spec)
+            digests[spec, strategy] = {stage: stage_result.digest
+                                       for stage, stage_result
+                                       in result.results.items()}
+    return digests
+
+
+def test_memo_tables_are_pure_caches():
+    # Every registered memo table must be a pure cache: switching them all
+    # off changes no stage digest of any searching strategy.
+    cached = _stage_digests()
+    try:
+        engine.set_packed_memo(False)
+        uncached = _stage_digests()
+    finally:
+        engine.set_packed_memo(True)
+    assert uncached == cached

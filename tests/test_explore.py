@@ -51,7 +51,7 @@ class TestReduceConcurrency:
         result = reduce_concurrency(lr_max)
         assert result.best_cost < result.initial_cost
         assert result.improved
-        assert result.explored_count > 1
+        assert result.stats.explored > 1
 
     def test_best_is_valid_sg(self, lr_max):
         result = reduce_concurrency(lr_max)
@@ -65,7 +65,7 @@ class TestReduceConcurrency:
     def test_beam_strategy_runs(self, lr_max):
         result = reduce_concurrency(lr_max, strategy="beam", size_frontier=4)
         assert result.best_cost <= result.initial_cost
-        assert result.levels >= 1
+        assert result.stats.levels >= 1
 
     def test_unknown_strategy_rejected(self, lr_max):
         with pytest.raises(ValueError):
@@ -91,7 +91,7 @@ class TestReduceConcurrency:
 
     def test_budget_limits_exploration(self, lr_max):
         small = reduce_concurrency(lr_max, max_explored=5)
-        assert small.levels <= 5
+        assert small.stats.levels <= 5
 
 
 class TestExplorationStats:
@@ -104,7 +104,7 @@ class TestExplorationStats:
             stats = result.stats
             assert isinstance(stats, ExplorationStats)
             assert stats.strategy == strategy
-            assert result.explored_count == stats.explored
+            assert stats.levels >= 1
             assert 1 <= stats.expanded <= stats.explored
             assert not stats.capped
 
@@ -120,12 +120,12 @@ class TestExplorationStats:
         # the cap must stop generation mid-level, not after it.
         result = reduce_concurrency(lr_max, strategy="beam", max_explored=3)
         assert result.stats.capped
-        assert result.explored_count <= 3
+        assert result.stats.explored <= 3
 
     def test_best_first_cap_counts_distinct_configs(self, lr_max):
         result = reduce_concurrency(lr_max, max_explored=5)
         assert result.stats.capped
-        assert result.explored_count <= 5
+        assert result.stats.explored <= 5
 
     def test_full_reduction_cap_enforced_inside_level(self, lr_max):
         best, stats = full_reduction_with_stats(lr_max, max_explored=4)

@@ -91,8 +91,8 @@ class TestReductionPathProperties:
         # with the exact one on which functions exist and never undercut a
         # *valid* exact cover (fast covers are valid SOPs too).
         reduced, _ = apply_path(lr_max, picks)
-        fast = estimate_logic_complexity(reduced, fast=True)
-        exact = estimate_logic_complexity(reduced, fast=False, exact=True)
+        fast = estimate_logic_complexity(reduced)
+        exact = estimate_logic_complexity(reduced, exact=True)
         assert set(fast.per_signal_literals) == set(exact.per_signal_literals)
         assert fast.csc_conflict_codes == exact.csc_conflict_codes
         for signal, exact_literals in exact.per_signal_literals.items():
